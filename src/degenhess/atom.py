@@ -1110,11 +1110,11 @@ class VectorAtom:
 
     def jacobian_many(self, X):
         _, _, hess = self.atom.value_grad_hess(X)
-        return np.einsum("ij,pjk->pik", self.rotation, hess)
+        return self.rotation @ hess
 
     def displacement_jacobian(self, X):
         _, grad, hess = self.atom.value_grad_hess(X)
-        return grad @ self.rotation.T, np.einsum("ij,pjk->pik", self.rotation, hess)
+        return grad @ self.rotation.T, self.rotation @ hess
 
 
 def build_vector_atom(B, Q, eps0, k, p, params=None):

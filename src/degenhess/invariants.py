@@ -10,10 +10,18 @@ the k-th elementary symmetric function of the singular values. A matrix has
 rank below k exactly when ck vanishes. For symmetric matrices the companion
 lk(A, k) = e_k(eigenvalues of A) satisfies |lk| <= ck pointwise.
 
-Eigen decompositions use a cyclic Jacobi iteration (bit-reproducible, no
-LAPACK dispatch) with closed-form eigenvalue kernels for n = 2 and n = 3 on
-the value-only paths, where quadrature grids make per-point iteration too
-slow.
+Spectra come from hand-written kernels, not LAPACK:
+
+* closed-form eigenvalues of symmetric matrices for n = 2 and n = 3;
+* closed-form singular values of general 2 x 2 matrices;
+* a cyclic Jacobi iteration (bit-reproducible) for everything else:
+  symmetric n >= 4, full eigen decompositions, and the singular values of
+  general n >= 3 matrices through their symmetric block embedding.
+
+The closed forms are pure elementwise arithmetic, which quadrature grids
+with millions of points need. LAPACK runs only inside the polar
+decomposition: its batched Newton iteration calls np.linalg.inv and
+np.linalg.det.
 """
 
 import math
@@ -208,6 +216,17 @@ def _eigvals3(F):
     return np.sort(np.stack([lo, mid, hi], axis=-1), axis=-1)
 
 
+def _sym_eigvals_flat(flat, n):
+    # ascending eigenvalues of a flattened batch already known symmetric
+    if n == 1:
+        return flat[:, 0, 0].reshape(-1, 1)
+    if n == 2:
+        return _eigvals2(flat)
+    if n == 3:
+        return _eigvals3(flat)
+    return _jacobi_eigvals(flat)
+
+
 def sym_eigvals(A) -> np.ndarray:
     """Ascending eigenvalues of symmetric matrices, (..., n).
 
@@ -221,35 +240,60 @@ def sym_eigvals(A) -> np.ndarray:
     """
     A, lead_shape, n = _as_batch(A, "A")
     _require_symmetric(A, "A")
-    flat = A.reshape(-1, n, n)
-    if n == 1:
-        vals = flat[:, 0, 0].reshape(-1, 1)
-    elif n == 2:
-        vals = _eigvals2(flat)
-    elif n == 3:
-        vals = _eigvals3(flat)
-    else:
-        vals = sym_eigen(flat).values
+    vals = _sym_eigvals_flat(A.reshape(-1, n, n), n)
     return vals.reshape(lead_shape + (n,))
 
 
-def _exactly_symmetric(flat):
-    return bool((flat == np.swapaxes(flat, -1, -2)).all())
+def _singvals2(F):
+    # Closed-form singular values of general 2 x 2 matrices [[a, b], [c, d]].
+    # M splits into a rotation-like part (s) and a reflection-like part (t)
+    # with sigma_max = (s + t) / 2. sigma_min comes from the determinant, not
+    # from (s - t) / 2: that difference would cancel at rank drops, while
+    # |ad - bc| / sigma_max keeps the absolute error near eps * sigma_max.
+    a = F[:, 0, 0]
+    b = F[:, 0, 1]
+    c = F[:, 1, 0]
+    d = F[:, 1, 1]
+    s = np.hypot(a + d, c - b)
+    t = np.hypot(a - d, c + b)
+    hi = 0.5 * (s + t)
+    # hi = 0 only for the zero matrix, whose determinant is 0 as well; the
+    # minimum keeps the pair ascending when rounding lifts lo past hi
+    lo = np.abs(a * d - b * c) / np.where(hi > 0.0, hi, 1.0)
+    return np.stack([np.minimum(lo, hi), hi], axis=-1)
 
 
 def singular_values(M) -> np.ndarray:
     """Ascending singular values of square matrices, (..., n).
 
-    Exactly symmetric input takes the |eigenvalue| route. General input is
-    embedded in the symmetric block matrix [[0, M.T], [M, 0]], whose
-    eigenvalues are the singular values in pairs of both signs; unlike the
-    Gram matrix M.T @ M this keeps full absolute precision near rank
-    drops, which is what C_k certificates care about.
+    Each batch takes one of three routes:
+
+    * n = 2 input that is not exactly symmetric: the closed-form 2 x 2
+      kernel. Its smallest value is |det M| / sigma_max, accurate to about
+      eps * sigma_max in absolute terms.
+    * Exactly symmetric input, any n: the |eigenvalue| route, i.e. the
+      closed-form eigenvalue kernels for n <= 3 and Jacobi above.
+    * General input with n >= 3: Jacobi on the symmetric block matrix
+      [[0, M.T], [M, 0]], whose eigenvalues are the singular values in
+      pairs of both signs.
+
+    The general routes keep full absolute precision near rank drops, which
+    is what C_k certificates care about; the Gram matrix M.T @ M would lose
+    it to sqrt(eps) * |M|. The symmetric n = 3 kernel resolves a clustered
+    pair of eigenvalues, a double zero included, only to about sqrt(eps)
+    times the spectral spread (see sym_eigvals).
     """
     M, lead_shape, n = _as_batch(M, "M")
     flat = M.reshape(-1, n, n)
-    if _exactly_symmetric(flat):
-        mu = np.sort(np.abs(sym_eigvals(flat)), axis=-1)
+    if n == 2:
+        if bool((flat[:, 0, 1] == flat[:, 1, 0]).all()):
+            lam = np.abs(_eigvals2(flat))
+            mu = np.stack([np.minimum(lam[:, 0], lam[:, 1]),
+                           np.maximum(lam[:, 0], lam[:, 1])], axis=-1)
+        else:
+            mu = _singvals2(flat)
+    elif bool((flat == np.swapaxes(flat, -1, -2)).all()):
+        mu = np.sort(np.abs(_sym_eigvals_flat(flat, n)), axis=-1)
     else:
         emb = np.zeros((flat.shape[0], 2 * n, 2 * n))
         emb[:, :n, n:] = np.swapaxes(flat, -1, -2)

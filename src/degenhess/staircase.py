@@ -502,7 +502,6 @@ def _sup_grid(box, res, cap_points):
 
 def _atom_center_line(atom, box, points=256):
     """Points along the oscillation direction through the cube center."""
-    c = np.array(atom.cube.center if hasattr(atom.cube, "center") else 0.0)
     lo = np.array(atom.cube.lo)
     hi = np.array(atom.cube.hi)
     c = 0.5 * (lo + hi)

@@ -235,6 +235,77 @@ def test_singular_values_keep_precision_at_rank_drop():
     assert mu[0] <= 1e-14 and mu[1] <= 1e-14
 
 
+# general 2 x 2 entries spanning sixteen decades, signs included
+scaled_entries = st.builds(
+    lambda mag, sign: sign * 10.0 ** mag,
+    st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+def rotation2(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, (2, 2), elements=scaled_entries),
+       st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False))
+def test_singular_values_2x2_general_kernel(M, theta):
+    got = singular_values(M)
+    want = np.sort(np.linalg.svd(M, compute_uv=False))
+    scale = float(want[-1])
+    assert got[0] <= got[1]
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    R = rotation2(theta)
+    for other in (M.T, R @ M, M @ R):
+        assert np.abs(singular_values(other) - got).max() <= 1e-14 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, (2,), elements=scaled_entries),
+       hnp.arrays(np.float64, (2,), elements=scaled_entries))
+def test_singular_values_2x2_exact_rank_one(u, v):
+    mu = singular_values(np.outer(u, v))
+    assert mu[1] > 0.0
+    assert mu[0] <= 1e-14 * mu[1]
+
+
+def test_singular_values_2x2_zero_and_mixed_batch():
+    assert np.array_equal(singular_values(np.zeros((2, 2))), [0.0, 0.0])
+    rng = np.random.default_rng(43)
+    M = rng.standard_normal((64, 2, 2))
+    M[::3] = 0.0
+    M[1::3] = 0.5 * (M[1::3] + np.swapaxes(M[1::3], -1, -2))
+    got = singular_values(M.reshape(8, 8, 2, 2)).reshape(64, 2)
+    want = np.sort(np.linalg.svd(M, compute_uv=False), axis=-1)
+    assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(M).max())
+    assert np.array_equal(got[::3], np.zeros((22, 2)))
+
+
+def test_singular_values_jacobi_only_for_general_n_at_least_3(monkeypatch):
+    from degenhess import invariants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Jacobi reached")
+
+    monkeypatch.setattr(invariants, "_jacobi_eigvals", refuse)
+    rng = np.random.default_rng(47)
+    singular_values(rng.standard_normal((10, 2, 2)))
+    singular_values(random_symmetric(rng, (10, 2, 2)))
+    singular_values(random_symmetric(rng, (10, 3, 3)))
+    with pytest.raises(AssertionError, match="Jacobi reached"):
+        singular_values(rng.standard_normal((10, 3, 3)))
+
+
+def test_singular_values_symmetric_route_is_abs_eigvals():
+    rng = np.random.default_rng(53)
+    for n in (2, 3):
+        A = random_symmetric(rng, (200, n, n), scale=3.0)
+        want = np.sort(np.abs(sym_eigvals(A)), axis=-1)
+        assert np.array_equal(singular_values(A), want)
+
+
 def test_op_and_fro_norms():
     rng = np.random.default_rng(37)
     M = rng.standard_normal((20, 4, 4))

@@ -278,6 +278,26 @@ class TestFirstOrderRun:
         assert np.abs(d).max() == 0.0
         assert np.abs(jac).max() == 0.0
 
+    def test_rotated_base_matches_unrotated(self):
+        # u0 = O D x has non-symmetric Jacobians, so its stage integrals run
+        # through the general singular value kernel; u0 = D x stays on the
+        # symmetric route. C_k ignores O, so both runs must agree.
+        D = np.diag([0.7, 1.8])
+        theta = 0.9
+        O = np.array([[math.cos(theta), -math.sin(theta)],
+                      [math.sin(theta), math.cos(theta)]])
+        cfg = StairConfig(seed=3, tau=0.9, quad_points=2, node_budget=200_000)
+        traces = []
+        for M in (O @ D, D):
+            res = run_first_order(
+                VectorFieldC1(LinearMapBase(M), UNIT_BOX), 2, 1.1, 0.3, 0.3, 1,
+                config=cfg,
+            )
+            assert res.all_passed
+            assert all(c.passed for c in res.certificates)
+            traces.append(np.array(res.I_trace))
+        np.testing.assert_allclose(traces[0], traces[1], rtol=1e-8, atol=0.0)
+
     def test_type_checks(self):
         with pytest.raises(TypeError):
             run_first_order(unit_quadratic(), 2, 1.1, 0.3, 0.1, 1)
