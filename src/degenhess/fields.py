@@ -98,12 +98,17 @@ def _check_points(X, n):
 
 
 class AffineBase:
-    """a . x + c, Hessian identically zero."""
+    """a . x + c, Hessian identically zero.
+
+    Bases whose Hessian is constant by construction expose it as
+    constant_matrix, so cell-local evaluators can broadcast it.
+    """
 
     def __init__(self, linear, constant=0.0):
         self.linear = np.asarray(linear, dtype=float).reshape(-1)
         self.constant = float(constant)
         self.n = self.linear.size
+        self.constant_matrix = np.zeros((self.n, self.n))
 
     def value_grad_hess(self, X):
         X = _check_points(X, self.n)
@@ -124,6 +129,7 @@ class QuadraticBase:
         if np.abs(S - S.T).max() > 1e-12 * (1.0 + np.abs(S).max()):
             raise ValueError("quadratic matrix must be symmetric")
         self.S = 0.5 * (S + S.T)
+        self.constant_matrix = self.S
         self.n = S.shape[0]
         self.b = (
             np.zeros(self.n)

@@ -189,31 +189,72 @@ def _eigvals2(F):
     return np.stack([mid - radius, mid + radius], axis=-1)
 
 
-def _det3(B):
-    return (
-        B[:, 0, 0] * (B[:, 1, 1] * B[:, 2, 2] - B[:, 1, 2] * B[:, 2, 1])
-        - B[:, 0, 1] * (B[:, 1, 0] * B[:, 2, 2] - B[:, 1, 2] * B[:, 2, 0])
-        + B[:, 0, 2] * (B[:, 1, 0] * B[:, 2, 1] - B[:, 1, 1] * B[:, 2, 0])
-    )
-
-
 def _eigvals3(F):
-    # Trigonometric solution of the cubic characteristic polynomial.
-    q = np.einsum("bii->b", F) / 3.0
-    p1 = F[:, 0, 1] ** 2 + F[:, 0, 2] ** 2 + F[:, 1, 2] ** 2
-    d0 = F[:, 0, 0] - q
-    d1 = F[:, 1, 1] - q
-    d2 = F[:, 2, 2] - q
-    p2 = d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    safe = np.where(p > 0.0, p, 1.0)
-    B = (F - q[:, None, None] * np.eye(3)) / safe[:, None, None]
-    r = np.clip(0.5 * _det3(B), -1.0, 1.0)
+    # The trigonometric solution of the characteristic cubic resolves the
+    # root farthest from the other two to machine precision, but a
+    # clustered pair only to about sqrt(eps) times the spread (arccos is
+    # flat at +-1). So only that isolated root lam is taken from it. The
+    # pair comes from the deflated matrix C = F - lam I, which has rank 2:
+    # adj(C) = nu1 nu2 v v^T for its null vector v, and
+    # D = C - h (I - v v^T) with h = tr(C) / 2 has eigenvalues 0 and
+    # +-(nu1 - nu2) / 2, so the pair is lam + h +- |D|_F / sqrt(2). The
+    # entries of D are formed without cancellation of the pair's offset.
+    f00, f01, f02, _, f11, f12, _, _, f22 = np.ascontiguousarray(
+        F.reshape(-1, 9).T
+    )
+    q = (f00 + f11 + f22) / 3.0
+    d0 = f00 - q
+    d1 = f11 - q
+    d2 = f22 - q
+    p = np.sqrt(
+        (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (f01 * f01 + f02 * f02 + f12 * f12))
+        / 6.0
+    )
+    s = 1.0 / np.where(p > 0.0, p, 1.0)
+    d0, d1, d2, b01, b02, b12 = d0 * s, d1 * s, d2 * s, f01 * s, f02 * s, f12 * s
+    det = (
+        d0 * (d1 * d2 - b12 * b12)
+        - b01 * (b01 * d2 - b12 * b02)
+        + b02 * (b01 * b12 - d1 * b02)
+    )
+    r = np.clip(0.5 * det, -1.0, 1.0)
     phi = np.arccos(r) / 3.0
-    hi = q + 2.0 * p * np.cos(phi)
-    lo = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    mid = 3.0 * q - hi - lo
-    return np.sort(np.stack([lo, mid, hi], axis=-1), axis=-1)
+    # r >= 0: the top root is the isolated one, else the bottom one
+    lam = q + 2.0 * p * np.cos(np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0))
+    c00 = f00 - lam
+    c11 = f11 - lam
+    c22 = f22 - lam
+    a00 = c11 * c22 - f12 * f12
+    a11 = c00 * c22 - f02 * f02
+    a22 = c00 * c11 - f01 * f01
+    a01 = f02 * f12 - f01 * c22
+    a02 = f01 * f12 - f02 * c11
+    a12 = f01 * f02 - c00 * f12
+    # tr adj(C) = nu1 nu2 vanishes only when C = 0, i.e. F = lam I
+    tadj = a00 + a11 + a22
+    h = 0.5 * (c00 + c11 + c22)
+    hw = h / np.where(tadj != 0.0, tadj, 1.0)
+    e00 = c00 - h + hw * a00
+    e11 = c11 - h + hw * a11
+    e22 = c22 - h + hw * a22
+    e01 = f01 + hw * a01
+    e02 = f02 + hw * a02
+    e12 = f12 + hw * a12
+    half = np.sqrt(
+        0.5 * (e00 * e00 + e11 * e11 + e22 * e22
+               + 2.0 * (e01 * e01 + e02 * e02 + e12 * e12))
+    )
+    # the squared deviations (lambda_i - q)^2 sum to 6 p^2, so a pair is
+    # at most sqrt(12) p wide; when p is rounding noise next to |q|,
+    # tr adj(C) is noise as well and this cap keeps the pair near q
+    half = np.minimum(half, math.sqrt(3.0) * p)
+    lo = lam + h - half
+    hi = lam + h + half
+    return np.stack(
+        [np.minimum(lam, lo), np.minimum(np.maximum(lam, lo), hi),
+         np.maximum(lam, hi)],
+        axis=-1,
+    )
 
 
 def _sym_eigvals_flat(flat, n):
@@ -232,11 +273,9 @@ def sym_eigvals(A) -> np.ndarray:
 
     n = 2 and n = 3 use closed-form kernels (pure elementwise arithmetic,
     safe on grids with millions of points); larger n falls back to the
-    Jacobi iteration. The n = 3 kernel resolves well separated spectra to
-    machine precision but clustered pairs only to about sqrt(eps) times the
-    spectral spread (arccos sensitivity near double roots); that is orders
-    of magnitude below the quadrature error floor of any certificate built
-    on top of it.
+    Jacobi iteration. The n = 3 kernel takes the isolated eigenvalue from
+    the trigonometric solution and the remaining pair from the deflated
+    matrix, so double roots resolve to machine precision as well.
     """
     A, lead_shape, n = _as_batch(A, "A")
     _require_symmetric(A, "A")
@@ -279,9 +318,7 @@ def singular_values(M) -> np.ndarray:
 
     The general routes keep full absolute precision near rank drops, which
     is what C_k certificates care about; the Gram matrix M.T @ M would lose
-    it to sqrt(eps) * |M|. The symmetric n = 3 kernel resolves a clustered
-    pair of eigenvalues, a double zero included, only to about sqrt(eps)
-    times the spectral spread (see sym_eigvals).
+    it to sqrt(eps) * |M|.
     """
     M, lead_shape, n = _as_batch(M, "M")
     flat = M.reshape(-1, n, n)

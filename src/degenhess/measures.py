@@ -20,21 +20,16 @@ from degenhess.fields import (
     FieldDifference,
     modulus_of_continuity,
 )
-from degenhess.invariants import ck
+from degenhess.invariants import ck, op_norm
 from degenhess.staircase import (
     StairConfig,
-    _atoms_at_cell,
-    _axis_edges_for_cell,
-    _cell_nodes,
+    _cell_matrix,
     _geometry_atom,
     _holder_radii,
     _is_vector,
+    _partition_integrals,
     _rng,
-    _split_once,
     _sup_c1_distance,
-    _tensor_multi,
-    _thin_to_budget,
-    _matrix_many,
     _vector_modulus_sup,
     _VectorDiff,
     field_invariant_integrals,
@@ -180,36 +175,6 @@ def mass_bound_check(result):
 # ---------------------------------------------------------------- norms
 
 
-def _panel_integrals(field, partition, fn, nout, config):
-    # same two-level scheme as the stage integrator, panels snapped to
-    # committed atoms so oscillatory layers are resolved
-    cells = list(partition.cells())
-    cap = max(1_000, config.node_budget // max(len(cells), 1))
-    n = partition.n
-    vals = np.zeros((len(cells), nout))
-    errs = np.zeros((len(cells), nout))
-    level_cost = 1 + 2**n
-    for ci, cell in enumerate(cells):
-        contrib = _atoms_at_cell(field, cell)
-        edges = [
-            _axis_edges_for_cell(cell, contrib, a, config.base_panels)
-            for a in range(n)
-        ]
-        edges = _thin_to_budget(
-            edges, config.quad_points, max(cap // level_cost, 4_000)
-        )
-        got = []
-        for lvl in range(2):
-            es = edges if lvl == 0 else [_split_once(e) for e in edges]
-            nodes, weights = _cell_nodes(cell, es, config.quad_points)
-            got.append(
-                _tensor_multi(nodes, weights, fn, nout, config.eval_chunk)
-            )
-        vals[ci] = got[1]
-        errs[ci] = np.abs(got[1] - got[0])
-    return vals, errs
-
-
 def sobolev_seminorm(f, p, spec=None, *, norm="frobenius", level=None,
                      config=None):
     """Integral p-seminorm of the field's matrix: (sum of ||M||^p)^(1/p).
@@ -233,14 +198,19 @@ def sobolev_seminorm(f, p, spec=None, *, norm="frobenius", level=None,
         ]
         level = max(ms) if ms else 4
 
-    def fn(pts):
-        M = _matrix_many(f, pts)
-        frob = np.sqrt((M * M).sum(axis=(1, 2)))
-        sv = np.linalg.svd(M, compute_uv=False)
-        return np.stack([frob**p, sv[:, 0] ** p])
-
     partition = CubePartition(f.box, int(level))
-    vals, _ = _panel_integrals(f, partition, fn, 2, config)
+
+    def integrand(ci, cell):
+        matrix = _cell_matrix(f, partition, cell)
+
+        def fn(pts):
+            M = matrix(pts)
+            frob = np.sqrt((M * M).sum(axis=(1, 2)))
+            return np.stack([frob**p, op_norm(M) ** p])
+
+        return fn
+
+    vals, _ = _partition_integrals(f, partition, integrand, 2, config)
     totals = vals.sum(axis=0)
     pick = totals[0] if norm == "frobenius" else totals[1]
     return float(pick) ** (1.0 / p)
@@ -313,18 +283,23 @@ def _phi_sups(phi, box, seed=0, samples=4096):
     return float(np.abs(vals).max()), float(np.linalg.norm(grads, axis=1).max())
 
 
+def _extends(f_j, f_prev):
+    """True when f_j is f_prev plus further layers on the same base."""
+    if getattr(f_j, "base", None) is not getattr(f_prev, "base", None):
+        return False
+    prev = tuple(getattr(f_prev, "layers", ()))
+    cur = tuple(getattr(f_j, "layers", ()))
+    return len(cur) >= len(prev) and cur[: len(prev)] == prev
+
+
 def _extra_layers_zero(f_j, f_prev):
     # the pairing gap vanishes identically only when the two fields are
     # the same construction up to committed all-zero layers
     if f_j is f_prev:
         return True
-    if getattr(f_j, "base", None) is not getattr(f_prev, "base", None):
+    if not _extends(f_j, f_prev):
         return False
-    prev = tuple(getattr(f_prev, "layers", ()))
-    cur = tuple(getattr(f_j, "layers", ()))
-    if len(cur) < len(prev) or cur[: len(prev)] != prev:
-        return False
-    for layer in cur[len(prev):]:
+    for layer in f_j.layers[len(f_prev.layers):]:
         atoms = getattr(layer, "atoms", None)
         if atoms is None:
             return False
@@ -368,14 +343,19 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, spec=None, *, k, j=None,
         # stalled stage, the fields coincide bitwise
         gap, quad_error = 0.0, 0.0
     else:
-        def fn(pts):
-            Mj = _matrix_many(f_j, pts)
-            Mp = _matrix_many(f_prev, pts)
-            dv = ck(Mj, k) - ck(Mp, k)
-            return (dv * _phi_values(phi, pts))[None, :]
-
         partition = CubePartition(box, int(level))
-        vals, errs = _panel_integrals(f_j, partition, fn, 1, config)
+
+        def integrand(ci, cell):
+            cur = _cell_matrix(f_j, partition, cell)
+            prev = _cell_matrix(f_prev, partition, cell)
+
+            def fn(pts):
+                dv = ck(cur(pts), k) - ck(prev(pts), k)
+                return (dv * _phi_values(phi, pts))[None, :]
+
+            return fn
+
+        vals, errs = _partition_integrals(f_j, partition, integrand, 1, config)
         gap = float(abs(vals[:, 0].sum()))
         quad_error = float(errs[:, 0].sum())
 

@@ -294,6 +294,7 @@ class LinearMapBase:
         )
         if self.offset.shape != (self.n,):
             raise ValueError("offset length must match the matrix")
+        self.constant_matrix = self.matrix
 
     def value_jac(self, X):
         X = np.asarray(X, dtype=float)
@@ -339,8 +340,8 @@ class VectorFieldC1:
         return vals, jacs
 
 
-class StagePerturbation:
-    """Sum of per-cube scalar atoms, dispatched by cube lookup.
+class _CellAtomLayer:
+    """One atom per partition cell, dispatched by cube lookup.
 
     Atom supports are the closed partition cells, so every point belongs
     to exactly one atom up to shared faces where all atoms vanish
@@ -366,61 +367,38 @@ class StagePerturbation:
             (self.partition.m,) * self.partition.n,
         )
 
-    def value_grad_hess(self, X):
+    def _dispatch(self, X, shapes, evaluate):
         X = np.asarray(X, dtype=float)
-        P, n = X.shape
-        val = np.zeros(P)
-        grad = np.zeros((P, n))
-        hess = np.zeros((P, n, n))
+        outs = tuple(np.zeros((X.shape[0],) + s) for s in shapes)
         flat = self._flat(X)
         for ci in np.unique(flat):
             atom = self.atoms[ci]
             if atom.is_zero:
                 continue
             m = flat == ci
-            v, g, h = atom.value_grad_hess(X[m])
-            val[m] = v
-            grad[m] = g
-            hess[m] = h
-        return val, grad, hess
+            for out, part in zip(outs, evaluate(atom, X[m])):
+                out[m] = part
+        return outs
 
 
-class VectorStagePerturbation:
-    """Per-cube vector atoms with the same dispatch-and-merge contract."""
+class StagePerturbation(_CellAtomLayer):
+    """Sum of per-cube scalar atoms."""
 
-    def __init__(self, partition, atoms):
-        atoms = tuple(atoms)
-        if len(atoms) != partition.num_cells:
-            raise ValueError("need one atom per partition cell")
-        self.partition = partition
-        self.atoms = atoms
-
-    @property
-    def support_box(self):
-        return self.partition.box
-
-    def _flat(self, X):
-        idx = self.partition.locate(X)
-        return np.ravel_multi_index(
-            tuple(idx[:, a] for a in range(self.partition.n)),
-            (self.partition.m,) * self.partition.n,
+    def value_grad_hess(self, X):
+        n = self.partition.n
+        return self._dispatch(
+            X, ((), (n,), (n, n)), lambda atom, Y: atom.value_grad_hess(Y)
         )
 
+
+class VectorStagePerturbation(_CellAtomLayer):
+    """Per-cube vector atoms with the same dispatch-and-merge contract."""
+
     def displacement_jacobian_many(self, X):
-        X = np.asarray(X, dtype=float)
-        P, n = X.shape
-        disp = np.zeros((P, n))
-        jac = np.zeros((P, n, n))
-        flat = self._flat(X)
-        for ci in np.unique(flat):
-            atom = self.atoms[ci]
-            if atom.is_zero:
-                continue
-            m = flat == ci
-            d, g = atom.displacement_jacobian(X[m])
-            disp[m] = d
-            jac[m] = g
-        return disp, jac
+        n = self.partition.n
+        return self._dispatch(
+            X, ((n,), (n, n)), lambda atom, Y: atom.displacement_jacobian(Y)
+        )
 
 
 # --------------------------------------------------------- field adapters
@@ -452,26 +430,89 @@ def _layer_atoms(field):
     return out
 
 
-def _atoms_at_cell(field, cell):
-    """Committed-layer atoms whose support covers the cell."""
+def _layer_lookup(layers, partition, cell):
+    """Per layer, what covers one cell of the partition.
+
+    Yields (layer, atom, nested). atom is the layer's atom at the cell
+    center, None when no atom of the layer is there. nested says that the
+    cell lies inside that atom's cell of the layer partition. It is decided
+    from the partition sizes, not by a float test, so on the interior of
+    the cell the atom alone is the layer.
+    """
     center = np.asarray(cell.center)[None, :]
-    found = []
-    for layer in field.layers:
+    for layer in layers:
         part = getattr(layer, "partition", None)
         atoms = getattr(layer, "atoms", None)
         if part is not None and atoms is not None:
-            flat = int(
-                np.ravel_multi_index(
-                    tuple(part.locate(center)[0]), (part.m,) * part.n
-                )
-            )
-            atom = _geometry_atom(atoms[flat])
+            nested = part.box == partition.box and partition.m % part.m == 0
+            if nested:
+                idx = tuple(i // (partition.m // part.m) for i in cell.index)
+            else:
+                idx = tuple(part.locate(center)[0])
+            flat = int(np.ravel_multi_index(idx, (part.m,) * part.n))
+            yield layer, atoms[flat], nested
+        elif isinstance(layer, PerturbationAtom):
+            inside = bool(layer.cube.contains(center)[0])
+            yield layer, layer if inside else None, False
+        else:
+            yield layer, None, False
+
+
+def _atoms_at_cell(field, partition, cell):
+    """Committed-layer atoms whose support covers the cell."""
+    return [
+        _geometry_atom(atom)
+        for _, atom, _ in _layer_lookup(field.layers, partition, cell)
+        if atom is not None and not atom.is_zero
+    ]
+
+
+def _atom_matrix(atom):
+    if isinstance(atom, VectorAtom):
+        return atom.jacobian_many
+    return lambda X: atom.value_grad_hess(X)[2]
+
+
+def _cell_matrix(field, partition, cell):
+    """The frozen matrix field on points strictly inside one cell.
+
+    Equal to _matrix_many there, without its global dispatch: the layers
+    are added in the order evaluate_many sums them, so the result is
+    bitwise the same. A nested layer contributes its covering atom only,
+    and nothing when that atom is zero; any other layer keeps its own
+    dispatch. A base whose matrix is constant by construction exposes it
+    as constant_matrix, which is broadcast instead of evaluating values
+    and gradients.
+    """
+    base = field.base
+    vector = _is_vector(field)
+    terms = []
+    for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
+        if nested:
             if not atom.is_zero:
-                found.append(atom)
-        elif isinstance(layer, PerturbationAtom) and not layer.is_zero:
-            if bool(layer.cube.contains(center)[0]):
-                found.append(layer)
-    return found
+                terms.append(_atom_matrix(atom))
+        elif vector:
+            terms.append(lambda X, layer=layer: layer.displacement_jacobian_many(X)[1])
+        else:
+            terms.append(lambda X, layer=layer: layer.value_grad_hess(X)[2])
+    const = getattr(base, "constant_matrix", None)
+    if const is not None:
+        def at_base(X):
+            return np.broadcast_to(const, (X.shape[0],) + const.shape)
+    elif vector:
+        def at_base(X):
+            return base.value_jac(X)[1]
+    else:
+        def at_base(X):
+            return base.value_grad_hess(X)[2]
+
+    def matrix(X):
+        M = at_base(X)
+        for term in terms:
+            M = M + term(X)
+        return M
+
+    return matrix
 
 
 class _VectorDiff:
@@ -887,62 +928,86 @@ def _cell_nodes(cell, edges_unit, points):
     return nodes, weights
 
 
-def _stage_cell_integrals(
-    f_prev, atom, cell, prev_atoms, k, q, points, base_panels, node_cap, chunk,
-    vector=False,
-):
-    """Per-cell integrals at two refinement levels.
+def _cell_quadrature(cell, atoms, fn, nout, config, node_cap):
+    """Integrals of fn over one cell at two refinement levels.
 
-    Returns (mass_prev, mass_new, power_prev, power_new, op_q) with one
-    error estimate per quantity, where mass integrates the invariant,
-    power its q/k-th power and op_q the operator norm of the increment's
-    matrix to the q-th power.
+    Panels snap to the breakpoints of the given atoms and are thinned to
+    the node cap; the second level halves every panel. Returns the finer
+    values and their distance from the coarser ones as error estimates.
     """
     n = len(cell.lo)
-    expo = q / k
-    geo = _geometry_atom(atom) if atom is not None else None
-    contrib = list(prev_atoms)
-    if geo is not None and not geo.is_zero:
-        contrib.append(geo)
-
-    def fn(pts):
-        B = _matrix_many(f_prev, pts)
-        if atom is None or _geometry_atom(atom).is_zero:
-            H = np.zeros_like(B)
-            M = B
-        else:
-            if vector:
-                _, H = atom.displacement_jacobian(pts)
-            else:
-                H = atom.value_grad_hess(pts)[2]
-            M = B + H
-        ck_prev = ck(B, k)
-        ck_new = ck(M, k)
-        return np.stack(
-            [
-                ck_prev,
-                ck_new,
-                ck_prev**expo,
-                ck_new**expo,
-                op_norm(H) ** q,
-            ]
-        )
-
     base_edges = [
-        _axis_edges_for_cell(cell, contrib, a, base_panels) for a in range(n)
+        _axis_edges_for_cell(cell, atoms, a, config.base_panels)
+        for a in range(n)
     ]
     # level doubling multiplies the node count by 2^n, budget both levels
     level_cost = 1 + 2**n
     base_edges = _thin_to_budget(
-        base_edges, points, max(node_cap // level_cost, 4_000)
+        base_edges, config.quad_points, max(node_cap // level_cost, 4_000)
     )
     levels = []
     for lvl in range(2):
         es = base_edges if lvl == 0 else [_split_once(e) for e in base_edges]
-        nodes, weights = _cell_nodes(cell, es, points)
-        levels.append(_tensor_multi(nodes, weights, fn, 5, chunk))
+        nodes, weights = _cell_nodes(cell, es, config.quad_points)
+        levels.append(_tensor_multi(nodes, weights, fn, nout, config.eval_chunk))
     v0, v1 = levels
     return v1, np.abs(v1 - v0)
+
+
+def _partition_integrals(field, partition, integrand, nout, config,
+                         new_atoms=None):
+    """_cell_quadrature on every cell, panels snapped to the field's atoms.
+
+    integrand(ci, cell) returns the cell's fn; new_atoms, one per cell,
+    add their breakpoints to the panels. The node budget divides across
+    cells, so very fine partitions get coarse per-cell quadrature with
+    correspondingly wider error bars. Returns (values, errors), each of
+    shape (cells, nout) in row-major cell order.
+    """
+    cells = list(partition.cells())
+    node_cap = max(1_000, config.node_budget // max(len(cells), 1))
+    vals = np.zeros((len(cells), nout))
+    errs = np.zeros((len(cells), nout))
+    for ci, cell in enumerate(cells):
+        atoms = _atoms_at_cell(field, partition, cell)
+        if new_atoms is not None and not new_atoms[ci].is_zero:
+            atoms.append(_geometry_atom(new_atoms[ci]))
+        vals[ci], errs[ci] = _cell_quadrature(
+            cell, atoms, integrand(ci, cell), nout, config, node_cap
+        )
+    return vals, errs
+
+
+def _stage_integrand(f_prev, partition, cell, atom, k, q):
+    """The five stage integrands on one cell, as one fn(pts).
+
+    Rows: C_k of the frozen matrix and of the new one, their q/k-th
+    powers, and the operator norm of the increment's matrix to the q-th
+    power. Without a live atom the new matrix is the frozen one and the
+    increment is zero.
+    """
+    expo = q / k
+    frozen = _cell_matrix(f_prev, partition, cell)
+    if atom is None or atom.is_zero:
+
+        def fn(pts):
+            c = ck(frozen(pts), k)
+            cq = c**expo
+            return np.stack([c, c, cq, cq, np.zeros_like(c)])
+
+        return fn
+    increment = _atom_matrix(atom)
+
+    def fn(pts):
+        B = frozen(pts)
+        H = increment(pts)
+        ck_prev = ck(B, k)
+        ck_new = ck(B + H, k)
+        return np.stack(
+            [ck_prev, ck_new, ck_prev**expo, ck_new**expo, op_norm(H) ** q]
+        )
+
+    return fn
 
 
 def field_invariant_integrals(field, partition, k, q=None, config=None):
@@ -954,21 +1019,12 @@ def field_invariant_integrals(field, partition, k, q=None, config=None):
     """
     config = config or StairConfig()
     q = q if q is not None else float(k)
-    cells = list(partition.cells())
-    node_cap = max(1_000, config.node_budget // max(len(cells), 1))
-    masses = np.zeros(len(cells))
-    powers = np.zeros(len(cells))
-    mass_errs = np.zeros(len(cells))
-    power_errs = np.zeros(len(cells))
-    for ci, cell in enumerate(cells):
-        prev_atoms = _atoms_at_cell(field, cell)
-        vals, errs = _stage_cell_integrals(
-            field, None, cell, prev_atoms, k, q,
-            config.quad_points, config.base_panels, node_cap, config.eval_chunk,
-        )
-        masses[ci], powers[ci] = vals[0], vals[2]
-        mass_errs[ci], power_errs[ci] = errs[0], errs[2]
-    return masses, powers, mass_errs, power_errs
+    vals, errs = _partition_integrals(
+        field, partition,
+        lambda ci, cell: _stage_integrand(field, partition, cell, None, k, q),
+        5, config,
+    )
+    return vals[:, 0].copy(), vals[:, 2].copy(), errs[:, 0].copy(), errs[:, 2].copy()
 
 
 # ------------------------------------------------------------- run_stage
@@ -1183,11 +1239,8 @@ def run_stage(f_prev, schedule, k, p, spec=None, config=None, prev_state=None,
             lo = np.array(cell.lo)
             edges = np.array(cell.box.edges)
             pts = lo + rng2.random((per_cell, n)) * edges
-            if vector:
-                _, H = atom.displacement_jacobian(pts)
-            else:
-                H = atom.value_grad_hess(pts)[2]
-            B = _matrix_many(f_prev, pts)
+            H = _atom_matrix(atom)(pts)
+            B = _cell_matrix(f_prev, partition, cell)(pts)
             lhs = op_norm(H) ** q
             rhs = ck(B, k) ** (q / k) + tau**j
             margin = float((rhs - lhs).min())
@@ -1213,40 +1266,23 @@ def run_stage(f_prev, schedule, k, p, spec=None, config=None, prev_state=None,
         grad2 = 0.0
         grad2_err = 0.0
     else:
-        # the stage budget divides across cubes; very fine partitions get
-        # coarse per-cube quadrature with correspondingly wider error bars
-        node_cap = max(1_000, config.node_budget // max(ncells, 1))
-        masses_prev = np.zeros(ncells)
-        masses_new = np.zeros(ncells)
-        errs_prev = np.zeros(ncells)
-        errs_new = np.zeros(ncells)
-        powers_prev = np.zeros(ncells)
-        powers_new = np.zeros(ncells)
-        perr_prev = np.zeros(ncells)
-        perr_new = np.zeros(ncells)
+        new_atoms = None if schedule.stalled else atoms
+        vals, errs = _partition_integrals(
+            f_prev, partition,
+            lambda ci, cell: _stage_integrand(
+                f_prev, partition, cell,
+                None if new_atoms is None else new_atoms[ci], k, q,
+            ),
+            5, config, new_atoms,
+        )
+        masses_prev, masses_new, powers_prev, powers_new = vals[:, :4].T.copy()
+        errs_prev, errs_new, perr_prev, perr_new = errs[:, :4].T.copy()
+        # running sums in cell order; np.sum would pair the terms differently
         grad2 = 0.0
         grad2_err = 0.0
-        for ci, cell in enumerate(cells):
-            prev_atoms = _atoms_at_cell(f_prev, cell)
-            vals, errs = _stage_cell_integrals(
-                f_prev,
-                atoms[ci] if not schedule.stalled else None,
-                cell,
-                prev_atoms,
-                k,
-                q,
-                config.quad_points,
-                config.base_panels,
-                node_cap,
-                config.eval_chunk,
-                vector=vector,
-            )
-            masses_prev[ci], masses_new[ci] = vals[0], vals[1]
-            powers_prev[ci], powers_new[ci] = vals[2], vals[3]
-            errs_prev[ci], errs_new[ci] = errs[0], errs[1]
-            perr_prev[ci], perr_new[ci] = errs[2], errs[3]
-            grad2 += vals[4]
-            grad2_err += errs[4]
+        for v, e in zip(vals[:, 4], errs[:, 4]):
+            grad2 += v
+            grad2_err += e
         I_prev = float(powers_prev.sum())
         I_prev_err = float(perr_prev.sum())
         I_new = float(powers_new.sum())

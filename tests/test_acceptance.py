@@ -2,8 +2,8 @@
 
 Every test measures its criterion at the stated tolerance, records a
 single PASS/FAIL line, and asserts. The collected lines land in
-acceptance_report.txt next to the package sources after the module
-finishes.
+build/acceptance_report.txt (git-ignored, since the lines carry wall-clock
+seconds) after the module finishes.
 """
 
 import io
@@ -32,7 +32,7 @@ from degenhess.report import run_report_text, write_measures_csv, write_stage_cs
 from degenhess.measures import stage_measures
 from degenhess.staircase import StairConfig, run_construction
 
-REPORT_PATH = os.path.join(os.path.dirname(__file__), "..",
+REPORT_PATH = os.path.join(os.path.dirname(__file__), "..", "build",
                            "acceptance_report.txt")
 
 _LINES = []
@@ -49,6 +49,7 @@ def _record(cid, desc, ok, detail=""):
 @pytest.fixture(scope="module", autouse=True)
 def _write_report():
     yield
+    os.makedirs(os.path.dirname(os.path.abspath(REPORT_PATH)), exist_ok=True)
     with open(os.path.abspath(REPORT_PATH), "w") as fh:
         fh.write("acceptance criteria report\n")
         fh.write("==========================\n")

@@ -159,11 +159,21 @@ def test_sym_eigvals_near_degenerate():
     A = (Q * want) @ Q.T
     A = 0.5 * (A + A.T)
     assert np.abs(sym_eigvals(A) - want).max() <= 1e-11
-    # genuinely clustered pair: sqrt(eps) * spread regime of the trig kernel
+    # genuinely clustered pair: the deflated kernel resolves it as well
     want = np.array([1.0, 1.0 + 1e-10, 2.0])
     A = (Q * want) @ Q.T
     A = 0.5 * (A + A.T)
-    assert np.abs(sym_eigvals(A) - want).max() <= 5e-8
+    assert np.abs(sym_eigvals(A) - want).max() <= 1e-13
+
+
+def test_sym_eigvals_3x3_double_roots_exact():
+    # the trigonometric form alone read ck(diag(1, 0, 0), 1) = 1.0000000081
+    assert float(ck(np.diag([1.0, 0.0, 0.0]), 1)) == 1.0
+    assert np.array_equal(sym_eigvals(np.diag([1.0, 0.0, 0.0])), [0.0, 0.0, 1.0])
+    lam = sym_eigvals(np.full((3, 3), 6.65))
+    assert np.abs(lam - [0.0, 0.0, 19.95]).max() <= 1e-13 * 19.95
+    assert np.array_equal(sym_eigvals(2.5 * np.eye(3)), [2.5, 2.5, 2.5])
+    assert np.array_equal(sym_eigvals(np.zeros((3, 3))), [0.0, 0.0, 0.0])
 
 
 # ------------------------------------------- elementary symmetric and ck
@@ -269,6 +279,27 @@ def test_singular_values_2x2_exact_rank_one(u, v):
     mu = singular_values(np.outer(u, v))
     assert mu[1] > 0.0
     assert mu[0] <= 1e-14 * mu[1]
+
+
+@st.composite
+def symmetric_3x3(draw):
+    """General symmetric input, or Q diag(a, a, b) Q^T with a double root."""
+    if draw(st.booleans()):
+        M = draw(hnp.arrays(np.float64, (3, 3), elements=scaled_entries))
+    else:
+        a, b = draw(scaled_entries), draw(scaled_entries)
+        Q = random_orthogonal(3, np.random.default_rng(draw(st.integers(0, 2**31 - 1))))
+        M = (Q * np.array([a, a, b])) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_3x3())
+def test_sym_eigvals_3x3_kernel_matches_lapack(A):
+    got = sym_eigvals(A)
+    want = np.linalg.eigvalsh(A)
+    assert got[0] <= got[1] <= got[2]
+    assert np.abs(got - want).max() <= 1e-13 * float(np.abs(want).max())
 
 
 def test_singular_values_2x2_zero_and_mixed_batch():

@@ -5,6 +5,7 @@ import pytest
 
 from degenhess.fields import (
     Box,
+    CubePartition,
     PartitionCapError,
     ScalarFieldC2,
     make_base,
@@ -22,6 +23,10 @@ from degenhess.staircase import (
     run_construction,
     run_first_order,
     run_stage,
+    _cell_matrix,
+    _cell_nodes,
+    _layer_lookup,
+    _matrix_many,
 )
 
 UNIT_BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -239,6 +244,54 @@ class TestStagePerturbationLayer:
         layer = quadratic_run.field.layers[0]
         with pytest.raises(ValueError):
             StagePerturbation(layer.partition, layer.atoms[:-1])
+
+
+def _cell_points(cell, rng):
+    # seeded interior points plus the 2-point Gauss nodes of 5 panels per axis
+    lo = np.array(cell.lo)
+    hi = np.array(cell.hi)
+    rand = lo + rng.uniform(0.01, 0.99, (64, lo.size)) * (hi - lo)
+    nodes, _ = _cell_nodes(cell, [np.linspace(0.0, 1.0, 6)] * lo.size, 2)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+    return np.concatenate([rand, grid])
+
+
+def _check_cell_matrix(field, m):
+    """_cell_matrix equals _matrix_many on every cell of the m-partition;
+    returns whether some layer took its own dispatch (not nested)."""
+    partition = CubePartition(field.box, m)
+    rng = np.random.default_rng(m)
+    fallback = False
+    for cell in partition.cells():
+        pts = _cell_points(cell, rng)
+        got = _cell_matrix(field, partition, cell)(pts)
+        assert np.array_equal(got, _matrix_many(field, pts)), cell.index
+        fallback |= not all(
+            nested for _, _, nested in _layer_lookup(field.layers, partition, cell)
+        )
+    return fallback
+
+
+class TestCellMatrix:
+    def test_quadratic_stage_fields(self, quadratic_run):
+        fields = [quadratic_run.base] + [rec.field for rec in quadratic_run.stages]
+        for f, rec in zip(fields, quadratic_run.stages):
+            m = rec.schedule.m_j
+            assert not _check_cell_matrix(f, m)
+            assert not _check_cell_matrix(rec.field, m)
+
+    def test_level_coarser_than_the_stage_partition(self, quadratic_run):
+        # a ck_mass level that spans several stage cells falls back to the
+        # layer's own dispatch
+        m = quadratic_run.stages[0].schedule.m_j
+        assert m % 2 == 0
+        assert _check_cell_matrix(quadratic_run.field, m // 2)
+
+    def test_first_order_field(self, identity_first_order_run):
+        rec = identity_first_order_run.stages[0]
+        assert len(rec.field.layers) == 1
+        assert not _check_cell_matrix(rec.field, rec.schedule.m_j)
+        assert _check_cell_matrix(rec.field, 1)
 
 
 class TestFirstOrderRun:
