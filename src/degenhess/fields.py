@@ -386,13 +386,12 @@ def make_base(family, params, n):
 # ----------------------------------------------------------- the field
 
 
-class ScalarFieldC2:
+class _LayeredField:
     """base + ordered perturbation layers on a domain box.
 
-    Immutable: with_layers returns a new field, so a committed stage can
-    never be mutated behind a certificate's back. Each layer must support
-    value_grad_hess(X) and expose support_box; supports must sit inside
-    the domain box.
+    Immutable: with_layers returns a new field of the same kind, so a
+    committed stage can never be mutated behind a certificate's back.
+    Layers that expose support_box must have it inside the domain box.
     """
 
     def __init__(self, base, box, layers=()):
@@ -412,13 +411,24 @@ class ScalarFieldC2:
         return self.box.n
 
     def with_layers(self, new_layers):
-        return ScalarFieldC2(self.base, self.box, self.layers + tuple(new_layers))
+        return type(self)(self.base, self.box, self.layers + tuple(new_layers))
 
-    def evaluate_many(self, X, check_domain=True):
+    def _points(self, X, check_domain):
         X = _check_points(X, self.n)
         if check_domain and not bool(self.box.contains(X).all()):
             bad = X[~self.box.contains(X)][0]
             raise DomainError(f"point {bad.tolist()} outside box {self.box}")
+        return X
+
+
+class ScalarFieldC2(_LayeredField):
+    """base + ordered perturbation layers on a domain box, scalar valued.
+
+    Each layer must support value_grad_hess(X).
+    """
+
+    def evaluate_many(self, X, check_domain=True):
+        X = self._points(X, check_domain)
         val, grad, hess = self.base.value_grad_hess(X)
         for layer in self.layers:
             v, g, h = layer.value_grad_hess(X)
@@ -433,7 +443,11 @@ class ScalarFieldC2:
 
 
 class FieldDifference:
-    """f - g as an evaluator, for distance and modulus measurements."""
+    """f - g as an evaluator, for distance and modulus measurements.
+
+    f and g are fields of one kind (scalar or first-order); evaluate_many
+    returns the difference of each part they return.
+    """
 
     def __init__(self, f, g):
         if f.n != g.n:
@@ -444,9 +458,9 @@ class FieldDifference:
         self.box = f.box
 
     def evaluate_many(self, X, check_domain=True):
-        fv, fg, fh = self.f.evaluate_many(X, check_domain=check_domain)
-        gv, gg, gh = self.g.evaluate_many(X, check_domain=False)
-        return fv - gv, fg - gg, fh - gh
+        f_parts = self.f.evaluate_many(X, check_domain=check_domain)
+        g_parts = self.g.evaluate_many(X, check_domain=False)
+        return tuple(a - b for a, b in zip(f_parts, g_parts))
 
 
 # ------------------------------------------------------------ partition
@@ -775,7 +789,9 @@ def modulus_of_continuity(
 
     Pairs for every radius are pooled, so each table entry is the maximum
     over all sampled pairs closer than its radius and the table is
-    monotone nondecreasing by construction.
+    monotone nondecreasing by construction. Vector values (order 0 of a
+    first-order map) are measured in the Euclidean norm. seed is an int
+    or a numpy Generator, from which the pairs are drawn.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
@@ -800,7 +816,8 @@ def modulus_of_continuity(
     fx = field.evaluate_many(X, check_domain=False)
     fy = field.evaluate_many(Y, check_domain=False)
     if order == 0:
-        delta = np.abs(fy[0] - fx[0])
+        d = fy[0] - fx[0]
+        delta = np.abs(d) if d.ndim == 1 else np.linalg.norm(d, axis=1)
     else:
         delta = np.linalg.norm(fy[1] - fx[1], axis=1)
     keep = dist > 0

@@ -15,23 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from degenhess.fields import (
-    CubePartition,
-    FieldDifference,
-    modulus_of_continuity,
-)
+from degenhess.fields import CubePartition
 from degenhess.invariants import ck, op_norm
 from degenhess.staircase import (
     StairConfig,
     _cell_matrix,
-    _geometry_atom,
     _holder_radii,
+    _holder_table,
     _is_vector,
     _partition_integrals,
     _rng,
     _sup_c1_distance,
-    _vector_modulus_sup,
-    _VectorDiff,
     field_invariant_integrals,
 )
 
@@ -129,7 +123,7 @@ def stage_measures(result):
     return tuple(out)
 
 
-def ck_mass(f, k, level, spec=None, *, config=None):
+def ck_mass(f, k, level, *, config=None):
     """Per-cube quadrature of C_k of the field's matrix at a level grid.
 
     The level must be compatible with any committed stage partitions
@@ -146,9 +140,7 @@ def ck_mass(f, k, level, spec=None, *, config=None):
             raise ValueError(
                 f"level {level} incompatible with stage partition {part.m}"
             )
-    if config is None:
-        points = getattr(spec, "points", None) if spec is not None else None
-        config = StairConfig(quad_points=points or 4)
+    config = config or StairConfig()
     partition = CubePartition(f.box, level)
     masses, _, errs, _ = field_invariant_integrals(
         f, partition, k, q=float(k), config=config
@@ -175,8 +167,7 @@ def mass_bound_check(result):
 # ---------------------------------------------------------------- norms
 
 
-def sobolev_seminorm(f, p, spec=None, *, norm="frobenius", level=None,
-                     config=None):
+def sobolev_seminorm(f, p, *, norm="frobenius", level=None, config=None):
     """Integral p-seminorm of the field's matrix: (sum of ||M||^p)^(1/p).
 
     M is the Hessian for scalar fields and the Jacobian for first-order
@@ -187,9 +178,7 @@ def sobolev_seminorm(f, p, spec=None, *, norm="frobenius", level=None,
         raise ValueError("requires p >= 1")
     if norm not in ("frobenius", "operator"):
         raise ValueError("norm must be 'frobenius' or 'operator'")
-    if config is None:
-        points = getattr(spec, "points", None) if spec is not None else None
-        config = StairConfig(quad_points=points or 4)
+    config = config or StairConfig()
     if level is None:
         ms = [
             layer.partition.m
@@ -303,13 +292,13 @@ def _extra_layers_zero(f_j, f_prev):
         atoms = getattr(layer, "atoms", None)
         if atoms is None:
             return False
-        if any(not _geometry_atom(a).is_zero for a in atoms):
+        if any(not a.is_zero for a in atoms):
             return False
     return True
 
 
-def weakstar_gap(f_j, f_prev, phi, tau, K, spec=None, *, k, j=None,
-                 level=None, config=None):
+def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
+                 config=None):
     """Pairing gap of consecutive invariant measures against phi.
 
     gap = |integral of (C_k(M_j) - C_k(M_prev)) phi| measured by aligned
@@ -332,9 +321,7 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, spec=None, *, k, j=None,
             if getattr(layer, "partition", None) is not None
         ]
         level = max(ms) if ms else 4
-    if config is None:
-        points = getattr(spec, "points", None) if spec is not None else None
-        config = StairConfig(quad_points=points or 4)
+    config = config or StairConfig()
     box = f_j.box
     n = box.n
     sup_phi, sup_grad = _phi_sups(phi, box)
@@ -544,17 +531,7 @@ def holder_distance(f, g, alpha, pairs_per_radius=4000, seed=0,
         raise TypeError("cannot mix scalar and first-order fields")
     radii = list(radii) if radii is not None else _holder_radii(f.box)
     sup_v, sup_g = _sup_c1_distance(f, g, samples, seed)
-    if _is_vector(f):
-        vals = _vector_modulus_sup(
-            _VectorDiff(f, g), alpha, radii, pairs_per_radius, seed
-        )
-        quot = max(vals) if vals else 0.0
-    else:
-        table = modulus_of_continuity(
-            FieldDifference(f, g), 1, alpha, radii,
-            pairs_per_radius=pairs_per_radius, seed=seed,
-        )
-        quot = max(table.values) if table.values else 0.0
+    quot = max(_holder_table(f, g, alpha, radii, pairs_per_radius, seed).values)
     return HolderDistance(
         total=sup_v + sup_g + quot,
         sup_value=sup_v,

@@ -210,15 +210,9 @@ def run_report_text(result, config=None):
     for i, (lhs, rhs, ok) in enumerate(result.interpolation_checks, start=1):
         L.append(f"  stage {i}: measured {_g(lhs)} bound {_g(rhs)} {_pf(ok)}")
     prof = result.little_holder
-    radii = getattr(prof, "radii", None)
-    values = prof.values if radii is not None else tuple(prof)
     L.append("gradient modulus profile:")
-    if radii is not None:
-        for r, v in zip(radii, values):
-            L.append(f"  radius {_g(r)}: quotient {_g(v)}")
-    else:
-        for i, v in enumerate(values):
-            L.append(f"  radius index {i}: quotient {_g(v)}")
+    for r, v in zip(prof.radii, prof.values):
+        L.append(f"  radius {_g(r)}: quotient {_g(v)}")
 
     L += ["", "[density]"]
     if result.stages:

@@ -25,6 +25,7 @@ from degenhess.atom import (
     AtomTuningError,
     PerturbationAtom,
     VectorAtom,
+    _gauss01,
     certify_atom,
     predicted_contraction,
     profile_breakpoints,
@@ -34,11 +35,11 @@ from degenhess.atom import (
 from degenhess.fields import (
     Box,
     CubePartition,
-    DomainError,
     FieldDifference,
     PartitionCapError,
     QuadratureSpec,
     ScalarFieldC2,
+    _LayeredField,
     integrate_on_partition,
     modulus_of_continuity,
     refine_partition,
@@ -229,8 +230,9 @@ class ConstructionResult:
     I_trace has length J + 1 (the base integral first); ratios, schedules
     and certificates have length J. c1a_distance is the measured
     value + gradient + gradient-Holder distance between the final and
-    base fields; little_holder is the sampled gradient-Holder quotient
-    per radius, whose decay at small radii is the little-Holder
+    base fields; little_holder is the ModulusTable of the sampled
+    gradient-Holder quotient per radius (of the displacement values on
+    first-order runs), whose decay at small radii is the little-Holder
     evidence.
     """
 
@@ -303,35 +305,14 @@ class LinearMapBase:
         return vals, jacs
 
 
-class VectorFieldC1:
-    """base + displacement layers; evaluates values and Jacobians."""
+class VectorFieldC1(_LayeredField):
+    """base + displacement layers; evaluates values and Jacobians.
 
-    def __init__(self, base, box, layers=()):
-        self.base = base
-        self.box = box
-        if base.n != box.n:
-            raise ValueError("base and box disagree on dimension")
-        layers = tuple(layers)
-        for layer in layers:
-            sup = getattr(layer, "support_box", None)
-            if sup is not None and not sup.inside(box):
-                raise ValueError("perturbation support leaks outside the box")
-        self.layers = layers
-
-    @property
-    def n(self):
-        return self.box.n
-
-    def with_layers(self, new_layers):
-        return VectorFieldC1(self.base, self.box, self.layers + tuple(new_layers))
+    Each layer must support displacement_jacobian_many(X).
+    """
 
     def evaluate_many(self, X, check_domain=True):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"points must have shape (P, {self.n})")
-        if check_domain and not bool(self.box.contains(X).all()):
-            bad = X[~self.box.contains(X)][0]
-            raise DomainError(f"point {bad.tolist()} outside box {self.box}")
+        X = self._points(X, check_domain)
         vals, jacs = self.base.value_jac(X)
         for layer in self.layers:
             v, g = layer.displacement_jacobian_many(X)
@@ -409,10 +390,8 @@ def _is_vector(field):
 
 
 def _matrix_many(field, X):
-    """The frozen matrix field: Hessian for scalar, Jacobian for vector."""
-    if _is_vector(field):
-        return field.evaluate_many(X, check_domain=False)[1]
-    return field.evaluate_many(X, check_domain=False)[2]
+    """The frozen matrix field, last in evaluate_many: Hessian or Jacobian."""
+    return field.evaluate_many(X, check_domain=False)[-1]
 
 
 def _geometry_atom(atom):
@@ -459,12 +438,27 @@ def _layer_lookup(layers, partition, cell):
 
 
 def _atoms_at_cell(field, partition, cell):
-    """Committed-layer atoms whose support covers the cell."""
-    return [
-        _geometry_atom(atom)
-        for _, atom, _ in _layer_lookup(field.layers, partition, cell)
-        if atom is not None and not atom.is_zero
-    ]
+    """Committed-layer atoms whose breakpoints the cell's panels snap to.
+
+    Besides the atom at the cell center, a layer the cell is not nested in
+    (a ck_mass level coarser than the stage partition) gives every atom
+    whose cube center lies inside the cell, so all their trains resolve.
+    """
+    lo, hi = np.array(cell.lo), np.array(cell.hi)
+    out = []
+    for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
+        atoms = [atom]
+        if not nested and hasattr(layer, "partition"):
+            centers = layer.partition.centers()
+            inside = ((centers > lo) & (centers < hi)).all(axis=1)
+            atoms += [
+                layer.atoms[i] for i in np.flatnonzero(inside)
+                if layer.atoms[i] is not atom
+            ]
+        out.extend(
+            _geometry_atom(a) for a in atoms if a is not None and not a.is_zero
+        )
+    return out
 
 
 def _atom_matrix(atom):
@@ -513,19 +507,6 @@ def _cell_matrix(field, partition, cell):
         return M
 
     return matrix
-
-
-class _VectorDiff:
-    def __init__(self, f, g):
-        self.f = f
-        self.g = g
-        self.box = f.box
-        self.n = f.n
-
-    def evaluate_many(self, X, check_domain=False):
-        fv, fj = self.f.evaluate_many(X, check_domain=False)
-        gv, gj = self.g.evaluate_many(X, check_domain=False)
-        return fv - gv, fj - gj
 
 
 # ------------------------------------------------------------ planning
@@ -887,11 +868,6 @@ def _thin_to_budget(axes_edges, points, cap):
     return es
 
 
-def _gauss01(points):
-    x, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _tensor_multi(nodes, weights, fn, nout, chunk):
     n = len(nodes)
     sizes = [v.size for v in nodes]
@@ -1035,8 +1011,10 @@ def _tune_for_cube(A, cube, eps_j, k, q, tau_target, config, cache, vector=False
 
     The atom geometry depends only on the matrix and the cell shape, so
     equal cells share one tuning run and the atom is translated to each
-    cell. Tuning failures fall back to the best atom found and are
-    reported by the caller.
+    cell. A first-order run tunes the scalar atom on the symmetric polar
+    factor of A and wraps it in a VectorAtom with the rotation. Tuning
+    failures fall back to the best atom found and are reported by the
+    caller.
     """
     edges = tuple(cube.edges)
     key = (
@@ -1051,47 +1029,33 @@ def _tune_for_cube(A, cube, eps_j, k, q, tau_target, config, cache, vector=False
     hit = cache.get(key)
     if hit is None:
         canon = Box(tuple(0.0 for _ in edges), edges)
-        failed = False
+        O, S = polar_decompose(np.asarray(A, dtype=float)) if vector else (None, A)
+        try:
+            out = tune_atom(
+                S, canon, eps_j, k, q, tau_target,
+                budget=config.atom_budget, params=config.atom_params,
+            )
+            atom, cert, failed = out.atom, out.certificate, False
+        except AtomTuningError as err:
+            atom, cert, failed = err.atom, err.certificate, True
         if vector:
-            O, S = polar_decompose(np.asarray(A, dtype=float))
-            try:
-                out = tune_atom(
-                    S, canon, eps_j, k, q, tau_target,
-                    budget=config.atom_budget, params=config.atom_params,
-                )
-                scalar_atom, cert = out.atom, out.certificate
-            except AtomTuningError as err:
-                scalar_atom, cert, failed = err.atom, err.certificate, True
-            hit = (("vector", O, S, scalar_atom), cert, failed)
-        else:
-            try:
-                out = tune_atom(
-                    A, canon, eps_j, k, q, tau_target,
-                    budget=config.atom_budget, params=config.atom_params,
-                )
-                hit = (out.atom, out.certificate, False)
-            except AtomTuningError as err:
-                hit = (err.atom, err.certificate, True)
-        cache[key] = hit
-    proto, cert, failed = hit
-    if isinstance(proto, tuple) and proto and proto[0] == "vector":
-        _, O, S, scalar_atom = proto
-        moved = replace(scalar_atom, cube=cube)
-        return VectorAtom(rotation=O, base_symmetric=S, atom=moved), cert, failed
-    return replace(proto, cube=cube), cert, failed
+            atom = VectorAtom(rotation=O, base_symmetric=S, atom=atom)
+        hit = cache[key] = (atom, cert, failed)
+    atom, cert, failed = hit
+    if isinstance(atom, VectorAtom):
+        return replace(atom, atom=replace(atom.atom, cube=cube)), cert, failed
+    return replace(atom, cube=cube), cert, failed
 
 
 def _make_zero(cube, eps_j, vector):
-    za = zero_atom(cube, eps0=eps_j)
-    if vector:
-        n = cube.n
-        return VectorAtom(
-            rotation=np.eye(n), base_symmetric=np.zeros((n, n)), atom=za
-        )
-    return za
+    atom = zero_atom(cube, eps0=eps_j)
+    if not vector:
+        return atom
+    n = cube.n
+    return VectorAtom(rotation=np.eye(n), base_symmetric=np.zeros((n, n)), atom=atom)
 
 
-def run_stage(f_prev, schedule, k, p, spec=None, config=None, prev_state=None,
+def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
               atom_cache=None):
     """Execute one planned stage and certify it.
 
@@ -1151,36 +1115,26 @@ def run_stage(f_prev, schedule, k, p, spec=None, config=None, prev_state=None,
         per = 2**n + 1
         for ci, cell in enumerate(cells):
             A = A_all[ci]
-            contribution = float(ck_centers[ci]) * vol
-            if contribution <= floor:
-                atoms.append(_make_zero(cell.box, eps_j, vector))
+            skip = float(ck_centers[ci]) * vol <= floor
+            if skip:
                 floor_skips.append(ci)
-                certs.append(
-                    certify_atom(
-                        _geometry_atom(atoms[-1]),
-                        A if not vector else polar_decompose(A)[1],
-                        k,
-                        q,
-                        tau_bound=tau,
+            else:
+                block = osc_M[ci * per : (ci + 1) * per]
+                osc = float(op_norm(block - A[None]).max())
+                skip = math.isfinite(schedule.delta_j) and osc > schedule.delta_j
+                if skip:
+                    osc_skips.append(ci)
+                    notes.append(
+                        f"cube {ci}: frozen-matrix oscillation {osc:.3g} "
+                        "exceeds delta_j"
                     )
-                )
-                continue
-            block = osc_M[ci * per : (ci + 1) * per]
-            osc = float(op_norm(block - A[None]).max())
-            if math.isfinite(schedule.delta_j) and osc > schedule.delta_j:
+            if skip:
+                # a zero atom, certified against the frozen matrix (its
+                # symmetric polar factor on first-order runs)
                 atoms.append(_make_zero(cell.box, eps_j, vector))
-                osc_skips.append(ci)
+                S = polar_decompose(A)[1] if vector else A
                 certs.append(
-                    certify_atom(
-                        _geometry_atom(atoms[-1]),
-                        A if not vector else polar_decompose(A)[1],
-                        k,
-                        q,
-                        tau_bound=tau,
-                    )
-                )
-                notes.append(
-                    f"cube {ci}: frozen-matrix oscillation {osc:.3g} exceeds delta_j"
+                    certify_atom(_geometry_atom(atoms[-1]), S, k, q, tau_bound=tau)
                 )
                 continue
             atom, cert, failed = _tune_for_cube(
@@ -1194,7 +1148,7 @@ def run_stage(f_prev, schedule, k, p, spec=None, config=None, prev_state=None,
                     f"cube {ci}: tuning stopped at tau {cert.tau_meas:.6g}"
                 )
 
-    any_live = any(not _geometry_atom(a).is_zero for a in atoms)
+    any_live = any(not a.is_zero for a in atoms)
     if vector:
         layer = VectorStagePerturbation(partition, atoms)
     else:
@@ -1234,7 +1188,7 @@ def run_stage(f_prev, schedule, k, p, spec=None, config=None, prev_state=None,
         rng2 = _rng(config.seed, j, 11)
         for ci, cell in enumerate(cells):
             atom = atoms[ci]
-            if _geometry_atom(atom).is_zero:
+            if atom.is_zero:
                 continue
             lo = np.array(cell.lo)
             edges = np.array(cell.box.edges)
@@ -1361,47 +1315,25 @@ def _sup_c1_distance(f, g, samples, seed):
     rng = _rng(seed, 17)
     box = f.box
     pts = np.array(box.lo) + rng.random((samples, box.n)) * np.array(box.edges)
+    dv, dg = FieldDifference(f, g).evaluate_many(pts, check_domain=False)[:2]
     if _is_vector(f):
-        fv, _ = f.evaluate_many(pts, check_domain=False)
-        gv, _ = g.evaluate_many(pts, check_domain=False)
-        dv = np.linalg.norm(fv - gv, axis=1)
-        return float(dv.max()), 0.0
-    fv, fg, _ = f.evaluate_many(pts, check_domain=False)
-    gv, gg, _ = g.evaluate_many(pts, check_domain=False)
-    return (
-        float(np.abs(fv - gv).max()),
-        float(np.linalg.norm(fg - gg, axis=1).max()),
+        # first-order closeness is measured on the displacement values alone
+        return float(np.linalg.norm(dv, axis=1).max()), 0.0
+    return float(np.abs(dv).max()), float(np.linalg.norm(dg, axis=1).max())
+
+
+def _holder_table(f, g, alpha, radii, pairs, seed):
+    """Sampled alpha-quotient of f - g: of the gradients (order 1) for
+    scalar fields, of the displacement values (order 0, pairs drawn from
+    the (seed, 19) stream) for first-order maps."""
+    if _is_vector(f):
+        order, seed = 0, _rng(seed, 19)
+    else:
+        order = 1
+    return modulus_of_continuity(
+        FieldDifference(f, g), order, alpha, radii,
+        pairs_per_radius=pairs, seed=seed,
     )
-
-
-def _vector_modulus_sup(diff, alpha, radii, pairs, seed):
-    from degenhess.fields import _grid_neighbor_pairs, _sample_pairs_in_box
-
-    rng = _rng(seed, 19)
-    box = diff.box
-    xs = []
-    ys = []
-    for r in radii:
-        x, y = _sample_pairs_in_box(box, r, pairs, rng)
-        xs.append(x)
-        ys.append(y)
-    gx, gy = _grid_neighbor_pairs(box)
-    xs.append(gx)
-    ys.append(gy)
-    X = np.concatenate(xs)
-    Y = np.concatenate(ys)
-    dist = np.linalg.norm(Y - X, axis=1)
-    fx = diff.evaluate_many(X, check_domain=False)[0]
-    fy = diff.evaluate_many(Y, check_domain=False)[0]
-    delta = np.linalg.norm(fy - fx, axis=1)
-    keep = dist > 0
-    quot = delta[keep] / dist[keep] ** alpha
-    dist = dist[keep]
-    vals = []
-    for r in radii:
-        m = dist < r
-        vals.append(float(quot[m].max()) if m.any() else 0.0)
-    return vals
 
 
 def _holder_radii(box):
@@ -1419,7 +1351,7 @@ def _base_seminorm_qq(field, q, m=8):
     return res.value, res.error
 
 
-def _run_loop(f0, k, p, alpha, eps, J, config, vector):
+def _run_loop(f0, k, p, alpha, eps, J, config):
     if not isinstance(k, int) or not 2 <= k <= f0.n:
         raise ValueError(f"k must be an integer in 2..{f0.n}")
     if not 1.0 <= p < k:
@@ -1502,47 +1434,25 @@ def _run_loop(f0, k, p, alpha, eps, J, config, vector):
         sch, cert = rec.schedule, rec.certificate
         rhs_i = 2.0 * sch.K_j ** alpha * sch.eps_j ** (1.0 - alpha)
         bounds.append(rhs_i)
-        if cert.stalled or all(_geometry_atom(a).is_zero for a in rec.atoms):
+        if cert.stalled or all(a.is_zero for a in rec.atoms):
             interp.append((0.0, rhs_i, True))
             continue
-        if vector:
-            diff = _VectorDiff(fields_chain[i + 1], fields_chain[i])
-            quot = max(
-                _vector_modulus_sup(
-                    diff, alpha, radii, config.modulus_pairs, config.seed + 23 + i
-                )
-            )
-            sup_v = max(c.sup_gradient for c in cert.atom_certs)
-            lhs_i = sup_v + quot
-        else:
-            diff = FieldDifference(fields_chain[i + 1], fields_chain[i])
-            table = modulus_of_continuity(
-                diff, 1, alpha, radii,
-                pairs_per_radius=config.modulus_pairs, seed=config.seed + 23 + i,
-            )
-            quot = max(table.values)
-            sup_v = max(c.sup_value for c in cert.atom_certs)
-            sup_g = max(c.sup_gradient for c in cert.atom_certs)
-            lhs_i = sup_v + sup_g + quot
+        table = _holder_table(
+            fields_chain[i + 1], fields_chain[i], alpha, radii,
+            config.modulus_pairs, config.seed + 23 + i,
+        )
+        sup_v = max(c.sup_value for c in cert.atom_certs)
+        sup_g = max(c.sup_gradient for c in cert.atom_certs)
+        # a vector atom's displacement is the scalar atom's gradient, and
+        # first-order closeness is measured on the displacement alone
+        lhs_i = (sup_g if _is_vector(f0) else sup_v + sup_g) + max(table.values)
         interp.append((lhs_i, rhs_i, lhs_i <= rhs_i * (1.0 + 1e-9) + 1e-15))
 
-    if vector:
-        diff_total = _VectorDiff(f, f0)
-        vals = _vector_modulus_sup(
-            diff_total, alpha, radii, config.modulus_pairs, config.seed + 29
-        )
-        quot = max(vals) if vals else 0.0
-        sup_val, sup_grad = _sup_c1_distance(f, f0, 8192, config.seed)
-        profile = tuple(vals)
-    else:
-        diff_total = FieldDifference(f, f0)
-        table = modulus_of_continuity(
-            diff_total, 1, alpha, radii,
-            pairs_per_radius=config.modulus_pairs, seed=config.seed + 29,
-        )
-        quot = max(table.values)
-        sup_val, sup_grad = _sup_c1_distance(f, f0, 8192, config.seed)
-        profile = table
+    profile = _holder_table(
+        f, f0, alpha, radii, config.modulus_pairs, config.seed + 29
+    )
+    quot = max(profile.values)
+    sup_val, sup_grad = _sup_c1_distance(f, f0, 8192, config.seed)
     c1a = sup_val + sup_grad + quot
     c1a_pass = c1a <= eps
 
@@ -1590,7 +1500,7 @@ def run_construction(w, k, p, alpha, eps, J, config=None):
     """
     if not isinstance(w, ScalarFieldC2):
         raise TypeError("w must be a ScalarFieldC2")
-    return _run_loop(w, k, p, alpha, eps, J, config, vector=False)
+    return _run_loop(w, k, p, alpha, eps, J, config)
 
 
 def run_first_order(u, k, p, alpha, eps, J, config=None):
@@ -1602,7 +1512,7 @@ def run_first_order(u, k, p, alpha, eps, J, config=None):
     """
     if not isinstance(u, VectorFieldC1):
         raise TypeError("u must be a VectorFieldC1")
-    return _run_loop(u, k, p, alpha, eps, J, config, vector=True)
+    return _run_loop(u, k, p, alpha, eps, J, config)
 
 
 # ------------------------------------------------------ box assembly

@@ -38,6 +38,8 @@ from degenhess.fields import (
     modulus_of_continuity,
     refine_partition,
 )
+from degenhess.fields import _grid_neighbor_pairs, _sample_pairs_in_box
+from degenhess.staircase import LinearMapBase, VectorFieldC1
 
 # ---------------------------------------------------------------- oracle
 
@@ -144,6 +146,24 @@ def test_field_difference():
     assert np.allclose(val, 0.1 * X[:, 0])
     assert np.allclose(grad, np.array([0.1, 0.0]))
     assert np.abs(hess).max() == 0.0
+
+
+def _linear_maps(D):
+    M0 = np.array([[1.0, 0.5], [0.0, 2.0]])
+    u0 = VectorFieldC1(LinearMapBase(M0), Box.unit(2))
+    u1 = VectorFieldC1(LinearMapBase(M0 + D, [0.1, -0.2]), Box.unit(2))
+    return u1, u0
+
+
+def test_field_difference_of_first_order_maps():
+    D = np.array([[0.3, -0.1], [0.2, 0.4]])
+    u1, u0 = _linear_maps(D)
+    X = np.array([[0.2, 0.7], [0.5, 0.5], [1.0, 0.0]])
+    parts = FieldDifference(u1, u0).evaluate_many(X)
+    assert len(parts) == 2
+    vals, jacs = parts
+    assert np.allclose(vals, X @ D.T + np.array([0.1, -0.2]), atol=1e-15)
+    assert np.allclose(jacs, D, atol=1e-15)
 
 
 # ------------------------------------------------------------ partition
@@ -343,6 +363,40 @@ def test_modulus_order_zero():
     # |f(y)-f(x)| <= 5 |y-x|, so the 0-order quotient at alpha=1 is <= 5
     table = modulus_of_continuity(f, 0, 1.0, [0.05])
     assert 4.9 <= table.values[0] <= 5.0 + 1e-9
+
+
+def test_modulus_order_zero_of_first_order_difference():
+    # u1 - u0 = D x + c, so every pair quotient is |D h| / |h|^alpha with
+    # h = y - x; redraw the pairs from the same seed to get the exact sups
+    D = np.array([[0.3, -0.1], [0.2, 0.4]])
+    u1, u0 = _linear_maps(D)
+    alpha, radii, pairs, seed = 0.3, [0.01, 0.1, 0.5], 500, 7
+    table = modulus_of_continuity(
+        FieldDifference(u1, u0), 0, alpha, radii,
+        pairs_per_radius=pairs, seed=seed,
+    )
+    rng = np.random.default_rng(seed)
+    drawn = [_sample_pairs_in_box(Box.unit(2), r, pairs, rng) for r in radii]
+    drawn.append(_grid_neighbor_pairs(Box.unit(2)))
+    H = np.concatenate([y - x for x, y in drawn])
+    dist = np.linalg.norm(H, axis=1)
+    keep = dist > 0
+    quot = np.linalg.norm(H[keep] @ D.T, axis=1) / dist[keep] ** alpha
+    want = [quot[dist[keep] < r].max() for r in radii]
+    assert table.pairs == int(keep.sum())
+    assert np.allclose(table.values, want, rtol=1e-12, atol=0.0)
+
+
+def test_modulus_seed_accepts_generator():
+    f = ScalarFieldC2(
+        TrigBase([[2.0, 0.0], [0.0, 2.0]], [0.3, 0.3]), Box.unit(2)
+    )
+    radii = [1e-2, 1e-1]
+    by_int = modulus_of_continuity(f, 1, 0.5, radii, pairs_per_radius=400,
+                                   seed=5)
+    by_gen = modulus_of_continuity(f, 1, 0.5, radii, pairs_per_radius=400,
+                                   seed=np.random.default_rng(5))
+    assert by_gen == by_int
 
 
 def test_modulus_validation():

@@ -122,6 +122,14 @@ class TestCkMass:
         slack = meas.total_error + quadratic_masses.total_error + 1e-6
         assert abs(meas.total - quadratic_masses.total) <= slack
 
+    def test_coarser_level_consistent(self, quadratic_run, quadratic_masses):
+        # the one level-1 cell spans every stage cell, so its panels must
+        # snap to all of their atoms, not only to the one at its center
+        rec = quadratic_run.stages[-1]
+        meas = ck_mass(rec.field, 2, 1, config=StairConfig(node_budget=10_000_000))
+        slack = meas.total_error + quadratic_masses.total_error
+        assert abs(meas.total - quadratic_masses.total) <= slack
+
     def test_csv_rows(self, base_masses):
         rows = base_masses.csv_rows()
         assert len(rows) == 16
