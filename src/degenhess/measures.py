@@ -199,7 +199,7 @@ def sobolev_seminorm(f, p, *, norm="frobenius", level=None, config=None):
 
         return fn
 
-    vals, _ = _partition_integrals(f, partition, integrand, 2, config)
+    vals, _, _ = _partition_integrals(f, partition, integrand, 2, config)
     totals = vals.sum(axis=0)
     pick = totals[0] if norm == "frobenius" else totals[1]
     return float(pick) ** (1.0 / p)
@@ -342,7 +342,7 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
 
             return fn
 
-        vals, errs = _partition_integrals(f_j, partition, integrand, 1, config)
+        vals, errs, _ = _partition_integrals(f_j, partition, integrand, 1, config)
         gap = float(abs(vals[:, 0].sum()))
         quad_error = float(errs[:, 0].sum())
 

@@ -128,11 +128,13 @@ def run_report_text(result, config=None):
         f"J = {result.J}",
         f"seed = {result.seed}",
         f"completed_stages = {len(result.stages)}",
+        f"live_stages = {result.live_stages} of {result.J}",
         f"aborted = {result.aborted if result.aborted else 'no'}",
     ]
 
     for rec in result.stages:
         sch, c = rec.schedule, rec.certificate
+        qc = c.quadrature
         flags = []
         if c.stalled:
             flags.append("stalled")
@@ -163,6 +165,9 @@ def run_report_text(result, config=None):
             f"ratio = {_g(c.ratio)} (bound {_g(c.ratio_bound)}, "
             f"slack {_g(c.ratio_slack)})",
             f"drift_max_rel = {_g(c.drift_max_rel)}",
+            f"quadrature = {qc.classes} classes integrated for {qc.cells} "
+            f"cells, {qc.points} integrand points ({qc.full_points} "
+            f"full-grid), {qc.thinned} cells thinned",
             "checks: "
             f"c0 {_pf(c.pass_c0)}, c2 {_pf(c.pass_c2)}, "
             f"c3 {_pf(c.pass_c3)}, c4 {_pf(c.pass_c4)}, "

@@ -16,7 +16,7 @@ stage with zero atoms, keeping every reported inequality a measurement.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
@@ -129,7 +129,10 @@ class StageSchedule:
     delivering delta_j. diameter_waived means the eps_j/2 cell-diameter
     condition was dropped because beta_j alone admitted a partition
     under the cap; stalled means not even beta_j did and the stage runs
-    with zero atoms on the previous partition.
+    with zero atoms on the previous partition. probe_atoms counts the
+    committed live atoms; sup_probed and beta_probed how many of them
+    the K_j and beta_j samples probed along their trains (the lists are
+    cut at fixed lengths).
     """
 
     j: int
@@ -143,6 +146,9 @@ class StageSchedule:
     sample_axis: int
     sup_samples: int
     beta_pairs: int
+    probe_atoms: int = 0
+    sup_probed: int = 0
+    beta_probed: int = 0
     diameter_waived: bool = False
     stalled: bool = False
     holder_budget_ok: bool = True
@@ -155,6 +161,24 @@ class StageSchedule:
                 raise ScheduleError("holder budget violated by eps_j")
 
 
+@dataclass(frozen=True)
+class QuadratureCounts:
+    """Deterministic work counts of one partition quadrature pass.
+
+    classes is the number of cells integrated (one per translation
+    class), cells the number of cells whose values the pass produced,
+    points the integrand points evaluated over both refinement levels,
+    full_points the points had every cell been integrated on its own,
+    and thinned the cells whose panels the node cap thinned.
+    """
+
+    classes: int = 0
+    cells: int = 0
+    points: int = 0
+    full_points: int = 0
+    thinned: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class StageCertificate:
     """Measured stage properties, one value plus error per inequality.
@@ -163,7 +187,9 @@ class StageCertificate:
     per-cube integrals of the rank invariant before and after the stage;
     I_prev and I_new integrate its p/k-th power (the internal exponent q
     stands in for p). atoms_pass aggregates the per-cube atom
-    certificates outside the recorded skip lists.
+    certificates outside the recorded skip lists. quadrature counts the
+    work of the stage integrals (all zero when a stalled stage carries
+    the previous masses).
     """
 
     j: int
@@ -201,6 +227,7 @@ class StageCertificate:
     grad2_qq: float
     grad2_qq_err: float
     notes: tuple = ()
+    quadrature: QuadratureCounts = QuadratureCounts()
 
     @property
     def passed(self):
@@ -272,6 +299,11 @@ class ConstructionResult:
     @property
     def certificates(self):
         return tuple(s.certificate for s in self.stages)
+
+    @property
+    def live_stages(self):
+        """Completed stages that did not stall."""
+        return sum(1 for c in self.certificates if not c.stalled)
 
     @property
     def all_passed(self):
@@ -512,6 +544,12 @@ def _cell_matrix(field, partition, cell):
 # ------------------------------------------------------------ planning
 
 
+# how many committed atoms the K_j and beta_j samples probe along their
+# trains; a longer atom list is cut, and the schedule records the cut
+_SUP_PROBE_ATOMS = 64
+_BETA_PROBE_ATOMS = 8
+
+
 def _sup_grid(box, res, cap_points):
     n = box.n
     res = int(res)
@@ -536,17 +574,19 @@ def _atom_center_line(atom, box, points=256):
 
 
 def _sample_matrix_sup(field, res, seed, cap_points, per_layer=2048):
-    """Sampled sup of the matrix field's operator norm, plus sample count.
+    """Sampled sup of the matrix field's operator norm.
 
     A uniform grid alone would alias past committed atom oscillations,
-    so every live atom also contributes a line probe along its
-    oscillation direction and seeded points inside its support.
+    so the first _SUP_PROBE_ATOMS live atoms also contribute a line probe
+    along their oscillation direction and seeded points inside their
+    support. Returns (sup, samples, grid resolution, atoms probed).
     """
     box = field.box
     pts, res_used = _sup_grid(box, res, cap_points)
     chunks = [pts]
     rng = _rng(seed, 101)
-    for atom in _layer_atoms(field)[:64]:
+    probed = _layer_atoms(field)[:_SUP_PROBE_ATOMS]
+    for atom in probed:
         chunks.append(_atom_center_line(atom, box))
         lo = np.array(atom.cube.lo)
         edges = np.array(atom.cube.edges)
@@ -556,7 +596,7 @@ def _sample_matrix_sup(field, res, seed, cap_points, per_layer=2048):
     for i in range(0, X.shape[0], 1 << 17):
         M = _matrix_many(field, X[i : i + (1 << 17)])
         sup = max(sup, float(op_norm(M).max()))
-    return sup, int(X.shape[0]), res_used
+    return sup, int(X.shape[0]), res_used, len(probed)
 
 
 def _delta_ok(M, D, d, k, expo, bound):
@@ -647,17 +687,21 @@ def _pair_sup(field, r, rng_key, pairs, atoms):
 
 
 def _bisect_beta(field, delta, seed, pairs, iters=28):
-    """Largest sampled radius with matrix oscillation below delta."""
+    """Largest sampled radius with matrix oscillation below delta.
+
+    Pairs straddle the trains of the first _BETA_PROBE_ATOMS live atoms.
+    Returns (radius, pairs sampled, atoms probed).
+    """
     box = field.box
     diam = float(np.linalg.norm(np.array(box.edges)))
     if not math.isfinite(delta):
-        return diam, 0
-    atoms = _layer_atoms(field)[:8]
+        return diam, 0, 0
+    atoms = _layer_atoms(field)[:_BETA_PROBE_ATOMS]
     total_pairs = 0
     sup, cnt = _pair_sup(field, diam, (seed, 303, 0), pairs, atoms)
     total_pairs += cnt
     if sup < delta:
-        return diam, total_pairs
+        return diam, total_pairs, len(atoms)
     lo = 0.0
     hi = diam
     for it in range(1, iters + 1):
@@ -670,7 +714,7 @@ def _bisect_beta(field, delta, seed, pairs, iters=28):
             hi = mid
     if lo == 0.0:
         lo = diam * 0.5**iters
-    return lo, total_pairs
+    return lo, total_pairs, len(atoms)
 
 
 def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
@@ -697,7 +741,7 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
     box = f_prev.box
 
     res = 4 * max(m_prev, 2**j)
-    K, sup_samples, res_used = _sample_matrix_sup(
+    K, sup_samples, res_used, sup_probed = _sample_matrix_sup(
         f_prev, res, (config.seed, j), config.sup_cap_points
     )
 
@@ -714,13 +758,12 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
         delta = _bisect_delta(
             n, k, q, tau**j / 2.0, Kval, (config.seed, j), config.delta_samples
         )
-        beta, beta_pairs = _bisect_beta(
+        return (delta,) + _bisect_beta(
             f_prev, delta, (config.seed, j), config.beta_pairs
         )
-        return delta, beta, beta_pairs
 
     eps_j = eps_of(K)
-    delta_j, beta_j, beta_pairs = plan_of(K)
+    delta_j, beta_j, beta_pairs, beta_probed = plan_of(K)
 
     edge_norm = float(np.linalg.norm(np.array(box.edges)))
     scale = math.sqrt(n) / edge_norm
@@ -746,14 +789,14 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
             stalled = True
 
     if not stalled and 4 * m_j > res_used:
-        K2, extra, res_used = _sample_matrix_sup(
+        K2, extra, res_used, _ = _sample_matrix_sup(
             f_prev, 4 * m_j, (config.seed, j), config.sup_cap_points
         )
         sup_samples += extra
         if K2 > K * (1.0 + 1e-12):
             K = K2
             eps_j = eps_of(K)
-            delta_j, beta_j, beta_pairs = plan_of(K)
+            delta_j, beta_j, beta_pairs, beta_probed = plan_of(K)
 
     holder_ok = True
     if K > 0.0:
@@ -771,6 +814,9 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
         sample_axis=res_used,
         sup_samples=sup_samples,
         beta_pairs=beta_pairs,
+        probe_atoms=len(_layer_atoms(f_prev)),
+        sup_probed=sup_probed,
+        beta_probed=beta_probed,
         diameter_waived=waived,
         stalled=stalled,
         holder_budget_ok=holder_ok if config.schedule_mode == "holder" else True,
@@ -909,49 +955,112 @@ def _cell_quadrature(cell, atoms, fn, nout, config, node_cap):
 
     Panels snap to the breakpoints of the given atoms and are thinned to
     the node cap; the second level halves every panel. Returns the finer
-    values and their distance from the coarser ones as error estimates.
+    values, their distance from the coarser ones as error estimates, the
+    integrand points evaluated over both levels, and whether the node
+    cap dropped panels.
     """
     n = len(cell.lo)
-    base_edges = [
+    full_edges = [
         _axis_edges_for_cell(cell, atoms, a, config.base_panels)
         for a in range(n)
     ]
     # level doubling multiplies the node count by 2^n, budget both levels
     level_cost = 1 + 2**n
     base_edges = _thin_to_budget(
-        base_edges, config.quad_points, max(node_cap // level_cost, 4_000)
+        full_edges, config.quad_points, max(node_cap // level_cost, 4_000)
     )
+    thinned = any(e.size != f.size for e, f in zip(base_edges, full_edges))
     levels = []
+    points = 0
     for lvl in range(2):
         es = base_edges if lvl == 0 else [_split_once(e) for e in base_edges]
         nodes, weights = _cell_nodes(cell, es, config.quad_points)
+        points += math.prod(v.size for v in nodes)
         levels.append(_tensor_multi(nodes, weights, fn, nout, config.eval_chunk))
     v0, v1 = levels
-    return v1, np.abs(v1 - v0)
+    return v1, np.abs(v1 - v0), points, thinned
+
+
+def _atom_shape(atom):
+    """An atom's geometry without its cube position, as a hashable key."""
+    if isinstance(atom, VectorAtom):
+        return (
+            atom.rotation.tobytes(),
+            atom.base_symmetric.tobytes(),
+            _atom_shape(atom.atom),
+        )
+    key = []
+    for f in dataclass_fields(atom):
+        if f.name != "cube":
+            v = getattr(atom, f.name)
+            key.append(v.tobytes() if isinstance(v, np.ndarray) else v)
+    return tuple(key)
+
+
+def _cell_class(field, partition, cell, new_atom):
+    """The cell's translation class for the stage quadrature, or None.
+
+    Decided from structure, never by comparing integrals: with a base
+    whose matrix is constant by construction and every layer nested in
+    the partition, the frozen matrix on the cell is that constant plus
+    each layer's covering atom, placed at the cell's offset inside the
+    atom's layer cell. Cells with equal keys then see translated copies
+    of one integrand and one panel layout, the stage's new atom on the
+    cell included, so their integrals agree up to rounding. None means
+    the cell is integrated on its own.
+    """
+    const = getattr(field.base, "constant_matrix", None)
+    if const is None:
+        return None
+    key = [np.asarray(const, dtype=float).tobytes()]
+    for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
+        if not nested:
+            return None
+        per = partition.m // layer.partition.m
+        key.append((_atom_shape(atom), tuple(i % per for i in cell.index)))
+    key.append(_atom_shape(new_atom))
+    return tuple(key)
 
 
 def _partition_integrals(field, partition, integrand, nout, config,
-                         new_atoms=None):
+                         new_atoms=None, classes=None):
     """_cell_quadrature on every cell, panels snapped to the field's atoms.
 
     integrand(ci, cell) returns the cell's fn; new_atoms, one per cell,
-    add their breakpoints to the panels. The node budget divides across
-    cells, so very fine partitions get coarse per-cell quadrature with
-    correspondingly wider error bars. Returns (values, errors), each of
-    shape (cells, nout) in row-major cell order.
+    add their breakpoints to the panels. classes, one _cell_class key per
+    cell, lets cells of one translation class share the quadrature of its
+    first cell, whose values and error bars are copied to the rest; a
+    None key is integrated on its own, and so is every cell when classes
+    is None. The node budget divides across cells, so very fine
+    partitions get coarse per-cell quadrature with correspondingly wider
+    error bars. Returns (values, errors, QuadratureCounts), values and
+    errors of shape (cells, nout) in row-major cell order.
     """
     cells = list(partition.cells())
     node_cap = max(1_000, config.node_budget // max(len(cells), 1))
     vals = np.zeros((len(cells), nout))
     errs = np.zeros((len(cells), nout))
+    done = {}
+    counts = dict(classes=0, points=0, full_points=0, thinned=0)
     for ci, cell in enumerate(cells):
-        atoms = _atoms_at_cell(field, partition, cell)
-        if new_atoms is not None and not new_atoms[ci].is_zero:
-            atoms.append(_geometry_atom(new_atoms[ci]))
-        vals[ci], errs[ci] = _cell_quadrature(
-            cell, atoms, integrand(ci, cell), nout, config, node_cap
-        )
-    return vals, errs
+        key = None if classes is None else classes[ci]
+        if key is not None and key in done:
+            rep, points, thinned = done[key]
+            vals[ci], errs[ci] = vals[rep], errs[rep]
+        else:
+            atoms = _atoms_at_cell(field, partition, cell)
+            if new_atoms is not None and not new_atoms[ci].is_zero:
+                atoms.append(_geometry_atom(new_atoms[ci]))
+            vals[ci], errs[ci], points, thinned = _cell_quadrature(
+                cell, atoms, integrand(ci, cell), nout, config, node_cap
+            )
+            counts["classes"] += 1
+            counts["points"] += points
+            if key is not None:
+                done[key] = (ci, points, thinned)
+        counts["full_points"] += points
+        counts["thinned"] += thinned
+    return vals, errs, QuadratureCounts(cells=len(cells), **counts)
 
 
 def _stage_integrand(f_prev, partition, cell, atom, k, q):
@@ -995,7 +1104,7 @@ def field_invariant_integrals(field, partition, k, q=None, config=None):
     """
     config = config or StairConfig()
     q = q if q is not None else float(k)
-    vals, errs = _partition_integrals(
+    vals, errs, _ = _partition_integrals(
         field, partition,
         lambda ci, cell: _stage_integrand(field, partition, cell, None, k, q),
         5, config,
@@ -1065,6 +1174,13 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
     stage), commits the perturbation layer, and measures the four stage
     properties with quadrature error bars. p here is the internal
     exponent the run chose (q when the requested exponent was 1).
+
+    The stage integrals run once per translation class of cells
+    (_cell_class): cells that see translated copies of one frozen matrix
+    field and one atom share the quadrature of the first such cell, and
+    the per-cell values and error bars are summed in cell order as if
+    every cell had been integrated. Fields without that structure are
+    integrated cell by cell. The certificate records the counts.
 
     Returns (atoms, f_j, StageCertificate). prev_state carries the
     previous stage's per-cube masses so a stalled stage can reproduce
@@ -1219,15 +1335,20 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
         I_new_err = I_prev_err
         grad2 = 0.0
         grad2_err = 0.0
+        quadrature = QuadratureCounts()
     else:
-        new_atoms = None if schedule.stalled else atoms
-        vals, errs = _partition_integrals(
+        # a stalled stage's zero atoms leave integrands and panels as
+        # they are, like no atoms at all
+        vals, errs, quadrature = _partition_integrals(
             f_prev, partition,
             lambda ci, cell: _stage_integrand(
-                f_prev, partition, cell,
-                None if new_atoms is None else new_atoms[ci], k, q,
+                f_prev, partition, cell, atoms[ci], k, q
             ),
-            5, config, new_atoms,
+            5, config, atoms,
+            [
+                _cell_class(f_prev, partition, cell, atoms[ci])
+                for ci, cell in enumerate(cells)
+            ],
         )
         masses_prev, masses_new, powers_prev, powers_new = vals[:, :4].T.copy()
         errs_prev, errs_new, perr_prev, perr_new = errs[:, :4].T.copy()
@@ -1258,6 +1379,14 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
     bad = np.flatnonzero(drift > bound)
     drift_max_rel = float((drift / (tau**j * vol)).max()) if ncells else 0.0
     pass_c4 = bad.size == 0
+
+    for name, probed in (("K_j", schedule.sup_probed),
+                         ("beta_j", schedule.beta_probed)):
+        if probed < schedule.probe_atoms:
+            notes.append(
+                f"{name} sample probed {probed} of {schedule.probe_atoms} "
+                "committed atoms"
+            )
 
     skip = set(floor_skips) | set(osc_skips)
     if schedule.stalled:
@@ -1304,6 +1433,7 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
         grad2_qq=float(grad2),
         grad2_qq_err=float(grad2_err),
         notes=tuple(notes),
+        quadrature=quadrature,
     )
     return tuple(atoms), f_j, cert
 

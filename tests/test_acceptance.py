@@ -168,7 +168,8 @@ def test_a04_staircase_contraction(quadratic_run, run_wallclock):
     line = _record(
         "A4", "staircase contraction, quadratic base, J=4",
         ok, f"I4/I0 = {total:.4f} <= {accumulated:.4f}, "
-            f"stage ratios within bounds, {elapsed:.0f} s",
+            f"stage ratios within bounds, live_stages = "
+            f"{quadratic_run.live_stages} of {quadratic_run.J}, {elapsed:.0f} s",
     )
     assert ok, line
 
@@ -271,7 +272,8 @@ def test_a10_first_order_contraction(identity_first_order_run):
     ok = stage_ok and total <= accumulated
     line = _record(
         "A10", "first-order identity run meets the contraction criterion",
-        ok, f"I3/I0 = {total:.4f} <= {accumulated:.4f}",
+        ok, f"I3/I0 = {total:.4f} <= {accumulated:.4f}, "
+            f"live_stages = {r.live_stages} of {r.J}",
     )
     assert ok, line
 

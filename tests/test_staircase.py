@@ -10,11 +10,15 @@ from degenhess.fields import (
     ScalarFieldC2,
     make_base,
 )
+from degenhess import staircase
+from degenhess.atom import zero_atom
 from degenhess.invariants import ck
+from degenhess.report import run_report_text
 from degenhess.staircase import (
     LinearMapBase,
     ScheduleError,
     StagePerturbation,
+    StageSchedule,
     StairConfig,
     VectorFieldC1,
     assemble_box_domain,
@@ -23,10 +27,13 @@ from degenhess.staircase import (
     run_construction,
     run_first_order,
     run_stage,
+    _cell_class,
     _cell_matrix,
     _cell_nodes,
     _layer_lookup,
     _matrix_many,
+    _partition_integrals,
+    _stage_integrand,
 )
 
 UNIT_BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -292,6 +299,129 @@ class TestCellMatrix:
         assert len(rec.field.layers) == 1
         assert not _check_cell_matrix(rec.field, rec.schedule.m_j)
         assert _check_cell_matrix(rec.field, 1)
+
+
+def _count_cell_quadratures(monkeypatch):
+    calls = []
+    inner = staircase._cell_quadrature
+
+    def counting(cell, *args):
+        calls.append(cell.index)
+        return inner(cell, *args)
+
+    monkeypatch.setattr(staircase, "_cell_quadrature", counting)
+    return calls
+
+
+def _stalled_schedule(m):
+    return StageSchedule(
+        j=1, tau=0.9, eps_j=0.01, delta_j=math.inf, beta_j=1.0, m_j=m,
+        K_j=1.0, mode="holder", sample_axis=0, sup_samples=0, beta_pairs=0,
+        stalled=True,
+    )
+
+
+def _stage_pass(field, partition, atoms, config, shared):
+    cells = list(partition.cells())
+    classes = None
+    if shared:
+        classes = [
+            _cell_class(field, partition, cell, atoms[ci])
+            for ci, cell in enumerate(cells)
+        ]
+    return _partition_integrals(
+        field, partition,
+        lambda ci, cell: _stage_integrand(field, partition, cell, atoms[ci], 2, 1.5),
+        5, config, atoms, classes,
+    )
+
+
+@pytest.fixture(scope="module")
+def small_quadratic_run():
+    """One live stage on diag(0.7, 1.8) at the benchmark's coarse settings."""
+    w = ScalarFieldC2(
+        make_base("quadratic", {"matrix": np.diag([0.7, 1.8])}, 2), UNIT_BOX
+    )
+    return run_construction(
+        w, 2, 1.5, 0.3, 0.3, 1,
+        config=StairConfig(seed=11, tau=0.9, quad_points=2),
+    )
+
+
+class TestClassQuadrature:
+    def test_stage_one_integrates_one_class(self, quadratic_run, monkeypatch):
+        calls = _count_cell_quadratures(monkeypatch)
+        rec = quadratic_run.stages[0]
+        _, _, cert = run_stage(
+            quadratic_run.base, rec.schedule, quadratic_run.k, quadratic_run.q,
+            config=StairConfig(seed=11, tau=0.9),
+        )
+        assert len(calls) == 1
+        assert cert.I_new == rec.certificate.I_new
+        assert np.array_equal(cert.mass_errs_new, rec.certificate.mass_errs_new)
+        qc = rec.certificate.quadrature
+        assert (qc.classes, qc.cells, qc.thinned) == (1, 16, 0)
+        assert qc.full_points == 16 * qc.points > 0
+
+    def test_polynomial_base_integrates_every_cell(self, monkeypatch):
+        # no constant matrix: every cell is its own class, even with equal
+        # (zero) atoms
+        f = ScalarFieldC2(
+            make_base("polynomial", {"terms": [[2, 0, 0.5], [0, 2, 1.0]]}, 2),
+            UNIT_BOX,
+        )
+        calls = _count_cell_quadratures(monkeypatch)
+        _, _, cert = run_stage(f, _stalled_schedule(2), 2, 1.5,
+                               config=StairConfig(quad_points=2))
+        assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert cert.quadrature.classes == cert.quadrature.cells == 4
+
+    def test_shared_classes_match_cell_by_cell(self, small_quadratic_run):
+        rec = small_quadratic_run.stages[0]
+        config = StairConfig(quad_points=2)
+        f0 = small_quadratic_run.base
+        partition = CubePartition(UNIT_BOX, rec.schedule.m_j)
+        # stage 1: one class; then the committed field one level finer,
+        # where each stage cell holds four classes by offset
+        fine = CubePartition(UNIT_BOX, 2 * rec.schedule.m_j)
+        zeros = [zero_atom(c.box) for c in fine.cells()]
+        for field, part, atoms, ncls in (
+            (f0, partition, rec.atoms, 1), (rec.field, fine, zeros, 4),
+        ):
+            v1, e1, q1 = _stage_pass(field, part, atoms, config, True)
+            v0, e0, q0 = _stage_pass(field, part, atoms, config, False)
+            assert q1.classes == ncls
+            assert q0.classes == q0.cells == q1.cells == part.num_cells
+            assert q1.full_points == q0.points
+            np.testing.assert_allclose(v1, v0, rtol=1e-12, atol=1e-15)
+            # error bars of integrands that are constant on a cell are
+            # rounding noise, hence the absolute floor
+            np.testing.assert_allclose(e1, e0, rtol=1e-6, atol=1e-15)
+            if field is f0:
+                # run_stage took the same shared pass
+                assert np.array_equal(v1[:, 1], rec.certificate.masses_new)
+
+    def test_coarser_partition_has_no_class(self, quadratic_run):
+        field = quadratic_run.field
+        m = quadratic_run.stages[0].schedule.m_j
+        coarse = CubePartition(field.box, m // 2)
+        for cell in coarse.cells():
+            assert _cell_class(field, coarse, cell, zero_atom(cell.box)) is None
+        nested = CubePartition(field.box, m)
+        cell = nested.cell((1, 2))
+        assert _cell_class(field, nested, cell, zero_atom(cell.box)) is not None
+
+    def test_report_lines(self, quadratic_run):
+        text = run_report_text(quadratic_run)
+        assert "live_stages = 1 of 4" in text
+        assert text.count("quadrature = ") == 4
+        assert "quadrature = 1 classes integrated for 16 cells" in text
+        # stages 2-4 probe the trains of 8 of the 16 stage-1 atoms for beta_j
+        for rec in quadratic_run.stages[1:]:
+            sch = rec.schedule
+            assert (sch.probe_atoms, sch.sup_probed, sch.beta_probed) == (16, 16, 8)
+            assert ("beta_j sample probed 8 of 16 committed atoms"
+                    in rec.certificate.notes)
 
 
 class TestFirstOrderRun:
