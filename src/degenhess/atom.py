@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fields import Box, QuadratureSpec
+from .fields import Box, _gauss01
 from .invariants import ck, op_norm, polar_decompose, sym_eigen
 
 
@@ -677,12 +677,6 @@ class AtomCertificate:
         return out
 
 
-@lru_cache(maxsize=8)
-def _gauss01(points):
-    x, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _split_edges(edges, factor):
     if factor == 1:
         return edges
@@ -830,7 +824,13 @@ def _tensor_totals(atom, integrand, level, points, chunk):
     return m, pw, tuple(resolution)
 
 
-def _atom_integrals(atom, A, k, p, spec):
+# Gauss points per panel axis, and integrand points per evaluation block,
+# of the certificate integrals
+_QUAD_POINTS = 4
+_QUAD_CHUNK = 1 << 19
+
+
+def _atom_integrals(atom, A, k, p):
     expo = p / k
 
     def integrand(X):
@@ -842,7 +842,7 @@ def _atom_integrals(atom, A, k, p, spec):
     resolution = None
     runner = _aligned_totals if atom.aligned_axis is not None else _tensor_totals
     for level in (0, 1):
-        m, pw, res = runner(atom, integrand, level, spec.points, spec.chunk)
+        m, pw, res = runner(atom, integrand, level, _QUAD_POINTS, _QUAD_CHUNK)
         totals.append((m, pw))
         resolution = res
     mass, power = totals[1]
@@ -851,7 +851,7 @@ def _atom_integrals(atom, A, k, p, spec):
     return mass, mass_err, power, power_err, resolution
 
 
-def certify_atom(atom, A, k, p, spec=None, samples=10_000, seed=0, tau_bound=1.0):
+def certify_atom(atom, A, k, p, samples=10_000, seed=0, tau_bound=1.0):
     """Measure an atom's properties against its frozen matrix.
 
     Sampled sups (value, gradient, Hessian operator norm, boundary band)
@@ -863,7 +863,6 @@ def certify_atom(atom, A, k, p, spec=None, samples=10_000, seed=0, tau_bound=1.0
     """
     A = np.asarray(A, dtype=float)
     A = 0.5 * (A + A.T)
-    spec = spec or QuadratureSpec()
     cube = atom.cube
     n = cube.n
     if A.shape != (n, n):
@@ -910,7 +909,7 @@ def certify_atom(atom, A, k, p, spec=None, samples=10_000, seed=0, tau_bound=1.0
         resolution = (0,) * n
     else:
         mass, mass_err, power, power_err, resolution = _atom_integrals(
-            atom, A, k, p, spec
+            atom, A, k, p
         )
 
     power_base = base_ck ** (p / k) * vol
@@ -1010,6 +1009,10 @@ def _history_monotone(history):
     return True
 
 
+# relative headroom a tuning target needs over the predicted contraction
+_TARGET_SLACK = 0.005
+
+
 def tune_atom(
     A,
     Q,
@@ -1019,8 +1022,6 @@ def tune_atom(
     tau_target,
     budget=8,
     params=None,
-    spec=None,
-    target_slack=0.005,
 ):
     """Search atom parameters until the certificate passes tau_target.
 
@@ -1034,9 +1035,9 @@ def tune_atom(
     """
     params = params or AtomParams()
     tau_pred = predicted_contraction(k, p)
-    if not tau_pred * (1.0 + target_slack) < tau_target < 1.0:
+    if not tau_pred * (1.0 + _TARGET_SLACK) < tau_target < 1.0:
         raise ValueError(
-            f"tau_target must lie in ({tau_pred * (1 + target_slack):.4f}, 1), "
+            f"tau_target must lie in ({tau_pred * (1 + _TARGET_SLACK):.4f}, 1), "
             f"got {tau_target}"
         )
     atom = build_atom(A, Q, eps0, k, p, params)
@@ -1044,7 +1045,7 @@ def tune_atom(
     best = None
     current = params
     for _ in range(budget):
-        cert = certify_atom(atom, A, k, p, spec=spec, tau_bound=tau_target)
+        cert = certify_atom(atom, A, k, p, tau_bound=tau_target)
         history.append((atom.periods, cert.tau_meas, cert.tau_err))
         if best is None or cert.tau_meas < best[1].tau_meas:
             best = (atom, cert)

@@ -88,7 +88,6 @@ def _build_parser():
                         help="integrability exponent, 1 <= p < k")
     p_cert.add_argument("--eps0", type=float, required=True,
                         help="amplitude allowance for the atom")
-    p_cert.add_argument("--seed", type=int, default=0)
 
     p_inv = sub.add_parser(
         "invariants", help="print singular-value invariants of a matrix"

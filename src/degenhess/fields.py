@@ -1,14 +1,19 @@
-"""Twice-differentiable fields, cube partitions, and tensor quadrature.
+"""Twice-differentiable fields, cube partitions, and partition quadrature.
 
 Fields are closed-form composites (base families plus perturbation layers),
 never grid interpolants: the staircase needs exact Hessians at cube centers
 and interpolation error would corrupt the oscillation-threshold logic. All
 evaluation is batched: X has shape (P, n) and evaluators return value (P,),
 gradient (P, n) and Hessian (P, n, n), the Hessian symmetric by construction.
+
+integrate_on_partition is the package's one partition quadrature engine:
+the stage certificates, the measures and the base seminorm all integrate
+through it, each supplying its own integrand and panel edges per cell.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -580,138 +585,163 @@ def refine_partition(m_prev, j, eps_j, beta_j, n, cap=None):
 # ----------------------------------------------------------- quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor quadrature policy: per-cell rule plus Richardson refinement.
-
-    points: nodes per axis per panel; rule: 'gauss' or 'midpoint';
-    max_refine: how many panel doublings to try; rel_tol: stop refining
-    once the total changes by less than this relative amount;
-    chunk: point budget per evaluation block.
-    """
-
-    points: int = 4
-    rule: str = "gauss"
-    max_refine: int = 3
-    rel_tol: float = 1e-10
-    chunk: int = 1 << 19
-
-    def __post_init__(self):
-        if self.rule not in ("gauss", "midpoint"):
-            raise ValueError(f"unknown quadrature rule '{self.rule}'")
-        if self.rule == "gauss" and self.points < 2:
-            raise ValueError("gauss rule needs at least 2 points per axis")
-        if self.points < 1:
-            raise ValueError("points must be positive")
-        if self.max_refine < 1:
-            raise ValueError("max_refine must be at least 1")
-
-    def base_nodes(self):
-        if self.rule == "gauss":
-            x, w = np.polynomial.legendre.leggauss(self.points)
-            return 0.5 * (x + 1.0), 0.5 * w
-        nodes = (np.arange(self.points) + 0.5) / self.points
-        return nodes, np.full(self.points, 1.0 / self.points)
+@lru_cache(maxsize=8)
+def _gauss01(points):
+    x, w = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @dataclass(frozen=True)
-class PartitionIntegral:
-    """Per-cube integrals with Richardson error estimates.
+class QuadratureCounts:
+    """Deterministic work counts of one partition quadrature pass.
 
-    per_cube has shape (m,)*n in row-major cell order; errors are the
-    per-cube |last - previous| refinement differences, and error is their
-    sum (a conservative bound for the total).
+    classes is the number of cells integrated (one per translation
+    class), cells the number of cells whose values the pass produced,
+    points the integrand points evaluated over both refinement levels,
+    full_points the points had every cell been integrated on its own,
+    and thinned the cells whose panels the node cap thinned.
     """
 
-    per_cube: np.ndarray
-    per_cube_error: np.ndarray
-    value: float
-    error: float
-    panels: int
+    classes: int = 0
+    cells: int = 0
+    points: int = 0
+    full_points: int = 0
+    thinned: int = 0
 
 
-def _eval_panel_level(integrand, partition, spec, panels):
-    m, n = partition.m, partition.n
-    nodes01, w01 = spec.base_nodes()
-    q = spec.points
-    K = panels * q
-    axis_nodes = []
-    axis_w = []
-    for a in range(n):
-        cell = partition.cell_edges[a]
-        sub = cell / panels
-        starts = partition.box.lo[a] + cell * np.arange(m)
-        pan = sub * np.arange(panels)
-        nds = (starts[:, None, None] + pan[None, :, None] + nodes01 * sub).ravel()
-        axis_nodes.append(nds)
-        axis_w.append(np.broadcast_to(w01 * sub, (m, panels, q)).ravel().copy())
-
-    rest = (m * K) ** (n - 1)
-    block_cells = max(1, int(spec.chunk // max(1, K * rest)))
-    per_cube = np.zeros((m,) * n)
-    for c0 in range(0, m, block_cells):
-        c1 = min(m, c0 + block_cells)
-        first = axis_nodes[0][c0 * K : c1 * K]
-        grids = np.meshgrid(first, *axis_nodes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = np.asarray(integrand(pts), dtype=float)
-        if vals.shape != (pts.shape[0],):
-            raise ValueError("integrand must return one value per point")
-        if not bool(np.isfinite(vals).all()):
-            where = pts[~np.isfinite(vals)][0]
-            raise QuadratureError(
-                f"non-finite integrand sample at {where.tolist()}"
-            )
-        shape = ((c1 - c0) * K,) + (m * K,) * (n - 1)
-        vals = vals.reshape(shape)
-        vals = vals * axis_w[0][c0 * K : c1 * K].reshape((-1,) + (1,) * (n - 1))
-        for a in range(1, n):
-            wshape = [1] * n
-            wshape[a] = m * K
-            vals = vals * axis_w[a].reshape(wshape)
-        split = ((c1 - c0), K) + sum(((m, K) for _ in range(n - 1)), ())
-        vals = vals.reshape(split)
-        per_cube[c0:c1, ...] += vals.sum(axis=tuple(range(1, 2 * n, 2)))
-    return per_cube
+def _split_once(edges):
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    out = np.empty(edges.size + mids.size)
+    out[0::2] = edges
+    out[1::2] = mids
+    return out
 
 
-def integrate_on_partition(integrand, partition, spec=None):
-    """Composite tensor quadrature over every cell of the partition.
+def _thin_to_budget(axes_edges, points, cap):
+    def count(es):
+        total = 1
+        for e in es:
+            total *= (e.size - 1) * points
+        return total
 
-    The integrand maps (P, n) points to (P,) values. Panels per cell are
-    doubled until the total stabilizes to spec.rel_tol or max_refine
-    doublings happened; the last doubling difference is the error estimate
-    (so at least one refinement always runs).
-    """
-    spec = spec or QuadratureSpec()
-    prev = _eval_panel_level(integrand, partition, spec, 1)
-    panels = 1
-    per_cube_error = None
-    for _ in range(spec.max_refine):
-        panels *= 2
-        cur = _eval_panel_level(integrand, partition, spec, panels)
-        per_cube_error = np.abs(cur - prev)
-        done = abs(float(cur.sum()) - float(prev.sum())) <= spec.rel_tol * max(
-            1e-300, abs(float(cur.sum()))
-        )
-        prev = cur
-        if done:
+    es = [e.copy() for e in axes_edges]
+    while count(es) > cap:
+        a = int(np.argmax([e.size for e in es]))
+        if es[a].size <= 3:
             break
-    total = float(prev.sum())
-    return PartitionIntegral(
-        per_cube=prev,
-        per_cube_error=per_cube_error,
-        value=total,
-        error=float(per_cube_error.sum()),
-        panels=panels,
-    )
+        keep = es[a][::2]
+        if keep[-1] != es[a][-1]:
+            keep = np.append(keep, es[a][-1])
+        es[a] = keep
+    return es
 
 
-def integrate_on_cube(integrand, cube, spec=None):
-    """(value, error_estimate) of the integrand over one cell or box."""
-    box = cube.box if isinstance(cube, Cell) else cube
-    result = integrate_on_partition(integrand, CubePartition(box, 1), spec)
-    return result.value, result.error
+def _tensor_multi(nodes, weights, fn, nout, chunk):
+    n = len(nodes)
+    sizes = [v.size for v in nodes]
+    rest = 1
+    for s in sizes[1:]:
+        rest *= s
+    per = max(1, chunk // max(rest, 1))
+    out = np.zeros(nout)
+    for i0 in range(0, sizes[0], per):
+        sl = slice(i0, min(sizes[0], i0 + per))
+        grids = np.meshgrid(nodes[0][sl], *nodes[1:], indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        wg = weights[0][sl].reshape((-1,) + (1,) * (n - 1))
+        for a in range(1, n):
+            shape = [1] * n
+            shape[a] = sizes[a]
+            wg = wg * weights[a].reshape(shape)
+        vals = fn(pts)
+        bad = ~np.isfinite(vals).reshape(-1, pts.shape[0]).all(axis=0)
+        if bad.any():
+            raise QuadratureError(
+                f"non-finite integrand sample at {pts[bad][0].tolist()}"
+            )
+        out += vals @ wg.ravel()
+    return out
+
+
+def _cell_nodes(cell, edges_unit, points):
+    gx, gw = _gauss01(points)
+    nodes = []
+    weights = []
+    for a in range(len(cell.lo)):
+        e = edges_unit[a]
+        width = cell.hi[a] - cell.lo[a]
+        starts = cell.lo[a] + e[:-1] * width
+        spans = np.diff(e) * width
+        nodes.append((starts[:, None] + spans[:, None] * gx[None, :]).ravel())
+        weights.append((spans[:, None] * gw[None, :]).ravel())
+    return nodes, weights
+
+
+def _cell_quadrature(cell, edges, fn, nout, points, chunk, node_cap):
+    """Integrals of fn over one cell at two refinement levels.
+
+    edges are the cell's panel edges per axis in unit coordinates. They
+    are thinned to the node cap; the second level halves every panel.
+    Returns the finer values, their distance from the coarser ones as
+    error estimates, the integrand points evaluated over both levels,
+    and whether the node cap dropped panels.
+    """
+    n = len(cell.lo)
+    # level doubling multiplies the node count by 2^n, budget both levels
+    level_cost = 1 + 2**n
+    base_edges = _thin_to_budget(edges, points, max(node_cap // level_cost, 4_000))
+    thinned = any(e.size != f.size for e, f in zip(base_edges, edges))
+    levels = []
+    count = 0
+    for lvl in range(2):
+        es = base_edges if lvl == 0 else [_split_once(e) for e in base_edges]
+        nodes, weights = _cell_nodes(cell, es, points)
+        count += math.prod(v.size for v in nodes)
+        levels.append(_tensor_multi(nodes, weights, fn, nout, chunk))
+    v0, v1 = levels
+    return v1, np.abs(v1 - v0), count, thinned
+
+
+def integrate_on_partition(integrand, partition, nout, *, edges, points,
+                           chunk, node_budget, classes=None):
+    """Two-level tensor Gauss-Legendre quadrature on every cell.
+
+    integrand(ci, cell) returns the cell's fn, mapping (P, n) points to
+    (nout, P) values; edges(ci, cell) returns its panel edges per axis in
+    unit coordinates, with points Gauss nodes per panel axis. The second
+    level halves every panel and the levels' difference is the error
+    bar. The node budget divides across cells, so very fine partitions
+    get coarse per-cell quadrature with correspondingly wider error
+    bars; chunk bounds the points per fn call. classes, one key per
+    cell, lets the cells of a class share the quadrature of its first
+    cell; a None key, or classes None, integrates the cell on its own.
+    A non-finite fn value raises QuadratureError. Returns (values,
+    errors, QuadratureCounts), values and errors of shape (cells, nout)
+    in row-major cell order.
+    """
+    cells = list(partition.cells())
+    node_cap = max(1_000, node_budget // max(len(cells), 1))
+    vals = np.zeros((len(cells), nout))
+    errs = np.zeros((len(cells), nout))
+    done = {}
+    counts = dict(classes=0, points=0, full_points=0, thinned=0)
+    for ci, cell in enumerate(cells):
+        key = None if classes is None else classes[ci]
+        if key is not None and key in done:
+            rep, count, thinned = done[key]
+            vals[ci], errs[ci] = vals[rep], errs[rep]
+        else:
+            vals[ci], errs[ci], count, thinned = _cell_quadrature(
+                cell, edges(ci, cell), integrand(ci, cell), nout, points,
+                chunk, node_cap,
+            )
+            counts["classes"] += 1
+            counts["points"] += count
+            if key is not None:
+                done[key] = (ci, count, thinned)
+        counts["full_points"] += count
+        counts["thinned"] += thinned
+    return vals, errs, QuadratureCounts(cells=len(cells), **counts)
 
 
 # -------------------------------------------------------------- modulus

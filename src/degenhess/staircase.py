@@ -25,7 +25,6 @@ from degenhess.atom import (
     AtomTuningError,
     PerturbationAtom,
     VectorAtom,
-    _gauss01,
     certify_atom,
     predicted_contraction,
     profile_breakpoints,
@@ -37,7 +36,7 @@ from degenhess.fields import (
     CubePartition,
     FieldDifference,
     PartitionCapError,
-    QuadratureSpec,
+    QuadratureCounts,
     ScalarFieldC2,
     _LayeredField,
     integrate_on_partition,
@@ -159,24 +158,6 @@ class StageSchedule:
                 raise ScheduleError("eps_j must stay below tau^j / 3")
             if self.mode == "holder" and self.K_j > 0 and not self.holder_budget_ok:
                 raise ScheduleError("holder budget violated by eps_j")
-
-
-@dataclass(frozen=True)
-class QuadratureCounts:
-    """Deterministic work counts of one partition quadrature pass.
-
-    classes is the number of cells integrated (one per translation
-    class), cells the number of cells whose values the pass produced,
-    points the integrand points evaluated over both refinement levels,
-    full_points the points had every cell been integrated on its own,
-    and thinned the cells whose panels the node cap thinned.
-    """
-
-    classes: int = 0
-    cells: int = 0
-    points: int = 0
-    full_points: int = 0
-    thinned: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -826,14 +807,6 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
 # ------------------------------------------------------- stage quadrature
 
 
-def _split_once(edges):
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    out = np.empty(edges.size + mids.size)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
-
-
 def _axis_edges_for_cell(cell, atoms, axis, base_panels):
     """Unit-coordinate panel edges for one cell axis.
 
@@ -895,92 +868,6 @@ def _axis_edges_for_cell(cell, atoms, axis, base_panels):
     return np.asarray(out)
 
 
-def _thin_to_budget(axes_edges, points, cap):
-    def count(es):
-        total = 1
-        for e in es:
-            total *= (e.size - 1) * points
-        return total
-
-    es = [e.copy() for e in axes_edges]
-    while count(es) > cap:
-        a = int(np.argmax([e.size for e in es]))
-        if es[a].size <= 3:
-            break
-        keep = es[a][::2]
-        if keep[-1] != es[a][-1]:
-            keep = np.append(keep, es[a][-1])
-        es[a] = keep
-    return es
-
-
-def _tensor_multi(nodes, weights, fn, nout, chunk):
-    n = len(nodes)
-    sizes = [v.size for v in nodes]
-    rest = 1
-    for s in sizes[1:]:
-        rest *= s
-    per = max(1, chunk // max(rest, 1))
-    out = np.zeros(nout)
-    for i0 in range(0, sizes[0], per):
-        sl = slice(i0, min(sizes[0], i0 + per))
-        grids = np.meshgrid(nodes[0][sl], *nodes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wg = weights[0][sl].reshape((-1,) + (1,) * (n - 1))
-        for a in range(1, n):
-            shape = [1] * n
-            shape[a] = sizes[a]
-            wg = wg * weights[a].reshape(shape)
-        vals = fn(pts)
-        out += vals @ wg.ravel()
-    return out
-
-
-def _cell_nodes(cell, edges_unit, points):
-    gx, gw = _gauss01(points)
-    nodes = []
-    weights = []
-    for a in range(len(cell.lo)):
-        e = edges_unit[a]
-        width = cell.hi[a] - cell.lo[a]
-        starts = cell.lo[a] + e[:-1] * width
-        spans = np.diff(e) * width
-        nodes.append((starts[:, None] + spans[:, None] * gx[None, :]).ravel())
-        weights.append((spans[:, None] * gw[None, :]).ravel())
-    return nodes, weights
-
-
-def _cell_quadrature(cell, atoms, fn, nout, config, node_cap):
-    """Integrals of fn over one cell at two refinement levels.
-
-    Panels snap to the breakpoints of the given atoms and are thinned to
-    the node cap; the second level halves every panel. Returns the finer
-    values, their distance from the coarser ones as error estimates, the
-    integrand points evaluated over both levels, and whether the node
-    cap dropped panels.
-    """
-    n = len(cell.lo)
-    full_edges = [
-        _axis_edges_for_cell(cell, atoms, a, config.base_panels)
-        for a in range(n)
-    ]
-    # level doubling multiplies the node count by 2^n, budget both levels
-    level_cost = 1 + 2**n
-    base_edges = _thin_to_budget(
-        full_edges, config.quad_points, max(node_cap // level_cost, 4_000)
-    )
-    thinned = any(e.size != f.size for e, f in zip(base_edges, full_edges))
-    levels = []
-    points = 0
-    for lvl in range(2):
-        es = base_edges if lvl == 0 else [_split_once(e) for e in base_edges]
-        nodes, weights = _cell_nodes(cell, es, config.quad_points)
-        points += math.prod(v.size for v in nodes)
-        levels.append(_tensor_multi(nodes, weights, fn, nout, config.eval_chunk))
-    v0, v1 = levels
-    return v1, np.abs(v1 - v0), points, thinned
-
-
 def _atom_shape(atom):
     """An atom's geometry without its cube position, as a hashable key."""
     if isinstance(atom, VectorAtom):
@@ -997,8 +884,8 @@ def _atom_shape(atom):
     return tuple(key)
 
 
-def _cell_class(field, partition, cell, new_atom):
-    """The cell's translation class for the stage quadrature, or None.
+def _cell_class(field, partition, cell, new_atom=None):
+    """The cell's translation class for a partition quadrature, or None.
 
     Decided from structure, never by comparing integrals: with a base
     whose matrix is constant by construction and every layer nested in
@@ -1006,8 +893,8 @@ def _cell_class(field, partition, cell, new_atom):
     each layer's covering atom, placed at the cell's offset inside the
     atom's layer cell. Cells with equal keys then see translated copies
     of one integrand and one panel layout, the stage's new atom on the
-    cell included, so their integrals agree up to rounding. None means
-    the cell is integrated on its own.
+    cell included when there is one, so their integrals agree up to
+    rounding. None means the cell is integrated on its own.
     """
     const = getattr(field.base, "constant_matrix", None)
     if const is None:
@@ -1018,49 +905,38 @@ def _cell_class(field, partition, cell, new_atom):
             return None
         per = partition.m // layer.partition.m
         key.append((_atom_shape(atom), tuple(i % per for i in cell.index)))
-    key.append(_atom_shape(new_atom))
+    if new_atom is not None:
+        key.append(_atom_shape(new_atom))
     return tuple(key)
 
 
 def _partition_integrals(field, partition, integrand, nout, config,
                          new_atoms=None, classes=None):
-    """_cell_quadrature on every cell, panels snapped to the field's atoms.
+    """integrate_on_partition with panels snapped to the field's atoms.
 
-    integrand(ci, cell) returns the cell's fn; new_atoms, one per cell,
-    add their breakpoints to the panels. classes, one _cell_class key per
-    cell, lets cells of one translation class share the quadrature of its
-    first cell, whose values and error bars are copied to the rest; a
-    None key is integrated on its own, and so is every cell when classes
-    is None. The node budget divides across cells, so very fine
-    partitions get coarse per-cell quadrature with correspondingly wider
-    error bars. Returns (values, errors, QuadratureCounts), values and
-    errors of shape (cells, nout) in row-major cell order.
+    integrand(ci, cell) returns the cell's fn. Each integrated cell's
+    panels snap to the breakpoints of the committed atoms that reach it
+    and, when new_atoms (one per cell) is given, of its new atom; the
+    StairConfig supplies the Gauss points, base panels, chunk and node
+    budget. classes, one _cell_class key per cell, is passed through.
+    Returns (values, errors, QuadratureCounts), values and errors of
+    shape (cells, nout) in row-major cell order.
     """
-    cells = list(partition.cells())
-    node_cap = max(1_000, config.node_budget // max(len(cells), 1))
-    vals = np.zeros((len(cells), nout))
-    errs = np.zeros((len(cells), nout))
-    done = {}
-    counts = dict(classes=0, points=0, full_points=0, thinned=0)
-    for ci, cell in enumerate(cells):
-        key = None if classes is None else classes[ci]
-        if key is not None and key in done:
-            rep, points, thinned = done[key]
-            vals[ci], errs[ci] = vals[rep], errs[rep]
-        else:
-            atoms = _atoms_at_cell(field, partition, cell)
-            if new_atoms is not None and not new_atoms[ci].is_zero:
-                atoms.append(_geometry_atom(new_atoms[ci]))
-            vals[ci], errs[ci], points, thinned = _cell_quadrature(
-                cell, atoms, integrand(ci, cell), nout, config, node_cap
-            )
-            counts["classes"] += 1
-            counts["points"] += points
-            if key is not None:
-                done[key] = (ci, points, thinned)
-        counts["full_points"] += points
-        counts["thinned"] += thinned
-    return vals, errs, QuadratureCounts(cells=len(cells), **counts)
+
+    def edges(ci, cell):
+        atoms = _atoms_at_cell(field, partition, cell)
+        if new_atoms is not None and not new_atoms[ci].is_zero:
+            atoms.append(_geometry_atom(new_atoms[ci]))
+        return [
+            _axis_edges_for_cell(cell, atoms, a, config.base_panels)
+            for a in range(partition.n)
+        ]
+
+    return integrate_on_partition(
+        integrand, partition, nout, edges=edges, points=config.quad_points,
+        chunk=config.eval_chunk, node_budget=config.node_budget,
+        classes=classes,
+    )
 
 
 def _stage_integrand(f_prev, partition, cell, atom, k, q):
@@ -1471,14 +1347,21 @@ def _holder_radii(box):
     return [diam * 2.0 ** (-i) for i in range(12, -1, -1)]
 
 
-def _base_seminorm_qq(field, q, m=8):
-    def integrand(pts):
-        M = _matrix_many(field, pts)
-        return op_norm(M) ** q
+def _base_seminorm_qq(field, q, config):
+    """Integral of the q-th power of the base matrix's operator norm over
+    the box, with its error bar, on an 8-per-axis partition whose cells
+    share quadrature by translation class."""
+    partition = CubePartition(field.box, 8)
 
-    part = CubePartition(field.box, m)
-    res = integrate_on_partition(integrand, part, QuadratureSpec(points=4))
-    return res.value, res.error
+    def integrand(ci, cell):
+        matrix = _cell_matrix(field, partition, cell)
+        return lambda pts: (op_norm(matrix(pts)) ** q)[None]
+
+    vals, errs, _ = _partition_integrals(
+        field, partition, integrand, 1, config,
+        classes=[_cell_class(field, partition, cell) for cell in partition.cells()],
+    )
+    return float(vals.sum()), float(errs.sum())
 
 
 def _run_loop(f0, k, p, alpha, eps, J, config):
@@ -1503,7 +1386,7 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
             f"tau {tau:.4g} leaves no headroom over the predicted contraction {pred:.4g}"
         )
 
-    base_qq, base_qq_err = _base_seminorm_qq(f0, q)
+    base_qq, base_qq_err = _base_seminorm_qq(f0, q, config)
     f = f0
     stages = []
     state = None

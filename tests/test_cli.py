@@ -459,6 +459,14 @@ class TestExitCodes:
                      "--eps0", "0.1"]) == 1
         assert "requires p < k" in capsys.readouterr().err
 
+    def test_certify_atom_rejects_seed(self, tmp_path, capsys):
+        # the certificate's sample seed is fixed; the flag is not accepted
+        p = tmp_path / "a.mat"
+        p.write_text("1 0.2\n0.2 1\n")
+        assert main(["certify-atom", str(p), "--k", "2", "--p", "1.5",
+                     "--eps0", "0.1", "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_invariants_rank_deficient(self, tmp_path, capsys):
         p = tmp_path / "n.mat"
         p.write_text("0 1\n0 0\n")

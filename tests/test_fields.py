@@ -26,13 +26,11 @@ from degenhess.fields import (
     PolynomialBase,
     ProductBase,
     QuadratureError,
-    QuadratureSpec,
     QuadraticBase,
     ScalarFieldC2,
     SumBase,
     TrigBase,
     dump_grid,
-    integrate_on_cube,
     integrate_on_partition,
     make_base,
     modulus_of_continuity,
@@ -247,68 +245,84 @@ def test_refine_partition_cap_and_validation():
 # ----------------------------------------------------------- quadrature
 
 
+def integrate(f, partition, edges=None, points=4, chunk=1 << 19):
+    """Values and error bars per cell of a scalar integrand, every cell
+    on the given unit-coordinate panel edges (one panel by default)."""
+    edges = [np.array([0.0, 1.0])] * partition.n if edges is None else edges
+    vals, errs, counts = integrate_on_partition(
+        lambda ci, cell: f, partition, 1,
+        edges=lambda ci, cell: edges, points=points, chunk=chunk,
+        node_budget=300_000_000,
+    )
+    assert counts.cells == counts.classes == partition.num_cells
+    return vals[:, 0], errs[:, 0]
+
+
 def test_quadrature_trivial_integrals():
-    spec = QuadratureSpec()
-    value, err = integrate_on_cube(lambda X: np.ones(X.shape[0]), Box.unit(2), spec)
-    assert abs(value - 1.0) <= 1e-14
-    value, err = integrate_on_cube(lambda X: X[:, 0] * X[:, 1], Box.unit(2), spec)
-    assert abs(value - 0.25) <= 1e-13
-    assert err <= 1e-13
+    unit = CubePartition(Box.unit(2), 1)
+    value, err = integrate(lambda X: np.ones(X.shape[0]), unit)
+    assert abs(value[0] - 1.0) <= 1e-14
+    value, err = integrate(lambda X: X[:, 0] * X[:, 1], unit)
+    assert abs(value[0] - 0.25) <= 1e-13
+    assert err[0] <= 1e-13
+
+
+def check_gauss_exactness(points):
+    # q-point Gauss per axis is exact to degree 2q - 1, on both levels
+    top = 2 * points - 1
+    for d1, d2 in [(top, 0), (1, top - 1), (top, top)]:
+        want = 1.0 / (d1 + 1) / (d2 + 1)
+        value, err = integrate(
+            lambda X, d1=d1, d2=d2: X[:, 0] ** d1 * X[:, 1] ** d2,
+            CubePartition(Box.unit(2), 1), points=points,
+        )
+        assert abs(value[0] - want) <= 1e-13
+        assert err[0] <= 1e-13
 
 
 def test_gauss_exactness_through_degree_seven():
-    # 4-point Gauss per axis is exact to degree 2q-1 = 7
-    spec = QuadratureSpec(points=4, max_refine=1)
-    for d1, d2 in [(7, 0), (3, 5), (7, 7)]:
-        want = 1.0 / (d1 + 1) / (d2 + 1)
-        value, _ = integrate_on_cube(
-            lambda X, d1=d1, d2=d2: X[:, 0] ** d1 * X[:, 1] ** d2,
-            Box.unit(2),
-            spec,
-        )
-        assert abs(value - want) <= 1e-12
+    check_gauss_exactness(4)
 
 
-def test_midpoint_rule_and_validation():
-    spec = QuadratureSpec(points=3, rule="midpoint", max_refine=4, rel_tol=1e-12)
-    value, err = integrate_on_cube(lambda X: X[:, 0] ** 2, Box.unit(1), spec)
-    # composite midpoint at 48 nodes: h^2/24 error scale
-    assert abs(value - 1.0 / 3.0) <= 1e-4
-    assert abs(value - 1.0 / 3.0) <= err * 2 + 1e-12
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule="simpson")
-    with pytest.raises(ValueError):
-        QuadratureSpec(points=1, rule="gauss")
-
-
-def test_richardson_estimate_brackets_error_on_kink():
-    # |x - 1/2|^3 has a kink cell; the declared estimate must cover the
-    # true quadrature error within a small factor
-    spec = QuadratureSpec(points=4, max_refine=2, rel_tol=0.0)
-    want = 2.0 * (0.5**4) / 4.0
-    value, err = integrate_on_cube(
-        lambda X: np.abs(X[:, 0] - 0.5) ** 3, Box.unit(1), spec
-    )
-    assert abs(value - want) <= 10.0 * err + 1e-14
+def test_gauss_exactness_through_degree_three_at_two_points():
+    check_gauss_exactness(2)
 
 
 def test_partition_integral_matches_per_cube_closed_form():
     part = CubePartition(Box.unit(2), 4)
-    res = integrate_on_partition(lambda X: X[:, 0], part, QuadratureSpec(max_refine=1))
-    assert res.per_cube.shape == (4, 4)
-    for cell in part.cells():
+    vals, _ = integrate(lambda X: X[:, 0], part)
+    assert vals.shape == (16,)
+    for ci, cell in enumerate(part.cells()):
         want = 0.5 * (cell.hi[0] ** 2 - cell.lo[0] ** 2) * (cell.hi[1] - cell.lo[1])
-        got = res.per_cube[cell.index]
-        assert abs(got - want) <= 1e-14
-    assert abs(res.value - 0.5) <= 1e-13
+        assert abs(vals[ci] - want) <= 1e-14
+    assert abs(vals.sum() - 0.5) <= 1e-13
 
 
 def test_partition_integral_chunking_consistent():
+    # six panels per axis: 24 x 24 nodes per cell at the first level, so
+    # a 128-point chunk splits every cell into many integrand calls. Each
+    # call's weighted sum is added to the cell total, so the chunk sets the
+    # summation order and the totals agree to rounding, not bitwise.
     part = CubePartition(Box.unit(2), 8)
     f = lambda X: np.sin(3.0 * X[:, 0]) * X[:, 1] ** 2
-    big = integrate_on_partition(f, part, QuadratureSpec(chunk=1 << 20, max_refine=1))
-    small = integrate_on_partition(f, part, QuadratureSpec(chunk=128, max_refine=1))
-    assert np.abs(big.per_cube - small.per_cube).max() <= 1e-15
+    edges = [np.linspace(0.0, 1.0, 7)] * 2
+    big, big_err = integrate(f, part, edges, chunk=1 << 20)
+    small, small_err = integrate(f, part, edges, chunk=128)
+    np.testing.assert_allclose(small, big, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(small_err, big_err, rtol=0.0, atol=1e-16)
+
+
+def test_richardson_estimate_brackets_error_on_kink():
+    # |x - 1/2|^3 has its kink strictly inside the panel [0.3, 1] and inside
+    # [0.3, 0.65] after the split; the declared estimate must cover the
+    # true quadrature error within a small factor
+    want = 2.0 * (0.5**4) / 4.0
+    value, err = integrate(
+        lambda X: np.abs(X[:, 0] - 0.5) ** 3, CubePartition(Box.unit(1), 1),
+        [np.array([0.0, 0.3, 1.0])],
+    )
+    assert err[0] > 0.0
+    assert abs(value[0] - want) <= 10.0 * err[0] + 1e-14
 
 
 def test_quadrature_rejects_non_finite_samples():
@@ -318,14 +332,14 @@ def test_quadrature_rejects_non_finite_samples():
         return out
 
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_on_cube(bad, Box.unit(2))
+        integrate(bad, CubePartition(Box.unit(2), 2))
 
 
 def test_one_dimensional_partition_quadrature():
     part = CubePartition(Box.unit(1), 5)
-    res = integrate_on_partition(lambda X: X[:, 0] ** 3, part, QuadratureSpec())
-    assert abs(res.value - 0.25) <= 1e-13
-    assert res.per_cube.shape == (5,)
+    vals, _ = integrate(lambda X: X[:, 0] ** 3, part)
+    assert abs(vals.sum() - 0.25) <= 1e-13
+    assert vals.shape == (5,)
 
 
 # -------------------------------------------------------------- modulus

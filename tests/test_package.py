@@ -1,6 +1,7 @@
 """The package's public namespace serves the README's code as written."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -27,3 +28,20 @@ def test_readme_imports_resolve():
         assert hasattr(degenhess, name), name
         assert name in degenhess.__all__, name
     exec("from degenhess import " + ", ".join(names), {})
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names by string; a refactor that
+    # drops or moves one must fail here, not in a traced benchmark run
+    # (compiled from its source, so no bytecode cache is written there)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = {"__name__": "perfbench_tracer"}
+    exec(compile(path.read_text(), str(path), "exec"), tracer)
+    assert tracer["TARGETS"]
+    for module_name, attr, _, _ in tracer["TARGETS"]:
+        module = importlib.import_module("degenhess." + module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(module, cls_name)), attr
+        else:
+            assert callable(getattr(module, attr, None)), attr

@@ -7,12 +7,20 @@ from degenhess.fields import (
     Box,
     CubePartition,
     PartitionCapError,
+    QuadratureError,
     ScalarFieldC2,
+    _cell_nodes,
     make_base,
 )
-from degenhess import staircase
+from degenhess import fields, staircase
 from degenhess.atom import zero_atom
 from degenhess.invariants import ck
+from degenhess.measures import (
+    ck_mass,
+    sobolev_seminorm,
+    test_function_family as probe_family,
+    weakstar_gap,
+)
 from degenhess.report import run_report_text
 from degenhess.staircase import (
     LinearMapBase,
@@ -27,9 +35,9 @@ from degenhess.staircase import (
     run_construction,
     run_first_order,
     run_stage,
+    _base_seminorm_qq,
     _cell_class,
     _cell_matrix,
-    _cell_nodes,
     _layer_lookup,
     _matrix_many,
     _partition_integrals,
@@ -303,13 +311,13 @@ class TestCellMatrix:
 
 def _count_cell_quadratures(monkeypatch):
     calls = []
-    inner = staircase._cell_quadrature
+    inner = fields._cell_quadrature
 
     def counting(cell, *args):
         calls.append(cell.index)
         return inner(cell, *args)
 
-    monkeypatch.setattr(staircase, "_cell_quadrature", counting)
+    monkeypatch.setattr(fields, "_cell_quadrature", counting)
     return calls
 
 
@@ -422,6 +430,84 @@ class TestClassQuadrature:
             assert (sch.probe_atoms, sch.sup_probed, sch.beta_probed) == (16, 16, 8)
             assert ("beta_j sample probed 8 of 16 committed atoms"
                     in rec.certificate.notes)
+
+
+def _count_engine_calls(monkeypatch):
+    """QuadratureCounts of every integrate_on_partition call."""
+    calls = []
+    inner = fields.integrate_on_partition
+
+    def counting(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append(out[2])
+        return out
+
+    for module in (fields, staircase):
+        monkeypatch.setattr(module, "integrate_on_partition", counting)
+    return calls
+
+
+class _NanStripBase:
+    """|x|^2 / 2 with a NaN Hessian on the strip x_0 > 0.9."""
+
+    n = 2
+
+    def value_grad_hess(self, X):
+        hess = np.broadcast_to(np.eye(2), (X.shape[0], 2, 2)).copy()
+        hess[X[:, 0] > 0.9] = np.nan
+        return 0.5 * (X * X).sum(axis=1), X.copy(), hess
+
+
+class TestQuadratureEngine:
+    def test_non_finite_hessian_raises(self):
+        # the cell centers are finite, so only the quadrature sees the strip
+        f = ScalarFieldC2(_NanStripBase(), UNIT_BOX)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            ck_mass(f, 2, 2)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            run_stage(f, _stalled_schedule(2), 2, 1.5,
+                      config=StairConfig(quad_points=2))
+
+    def test_run_construction_routes_through_engine(self, monkeypatch):
+        calls = _count_engine_calls(monkeypatch)
+        w = ScalarFieldC2(
+            make_base("quadratic", {"matrix": np.diag([0.7, 1.8])}, 2), UNIT_BOX
+        )
+        res = run_construction(
+            w, 2, 1.5, 0.3, 0.3, 2,
+            config=StairConfig(seed=11, tau=0.9, quad_points=2),
+        )
+        live = [rec for rec in res.stages if not rec.schedule.stalled]
+        assert len(live) == 1
+        # the base seminorm, then each stage that did not stall
+        assert len(calls) == 1 + len(live)
+        assert calls[0].cells == 64
+        assert calls[1] == live[0].certificate.quadrature
+
+    def test_measures_route_through_engine(self, small_quadratic_run,
+                                           monkeypatch):
+        calls = _count_engine_calls(monkeypatch)
+        rec = small_quadratic_run.stages[0]
+        f0, f1 = small_quadratic_run.base, rec.field
+        ck_mass(f0, 2, 2)
+        assert len(calls) == 1
+        _, phi = probe_family(2)[0]
+        weakstar_gap(f1, f0, phi, 0.9, rec.schedule.K_j, k=2, j=1,
+                     config=StairConfig(quad_points=2))
+        assert len(calls) == 2
+        sobolev_seminorm(f0, 1.5, norm="operator")
+        assert len(calls) == 3
+
+    def test_base_seminorm_classes(self, monkeypatch):
+        calls = _count_engine_calls(monkeypatch)
+        config = StairConfig(quad_points=2)
+        for family, params, classes in (
+            ("quadratic", {"matrix": np.diag([0.7, 1.8])}, 1),
+            ("polynomial", {"terms": [[2, 0, 0.5], [0, 2, 1.0]]}, 64),
+        ):
+            f = ScalarFieldC2(make_base(family, params, 2), UNIT_BOX)
+            _base_seminorm_qq(f, 1.5, config)
+            assert (calls[-1].classes, calls[-1].cells) == (classes, 64)
 
 
 class TestFirstOrderRun:
