@@ -212,21 +212,25 @@ def cutoff_eval(v, gamma_c):
 class AtomParams:
     """Tunable knobs for atom construction; None means auto-sized.
 
-    collar_periods controls the cutoff width through gamma_c =
-    collar_periods / periods: larger values thin out the cutoff's
-    derivative spikes relative to the oscillation, at the price of a
-    wider boundary band. Auto picks 2.5 for axis-aligned oscillations
-    (whose cutoff cross terms are gated by the cutoff value itself) and
-    5.0 for rotated ones (where they add linearly to the top eigenvalue).
+    Auto-sized periods is a power of two, at least _MIN_PERIODS and at
+    most max_periods. collar_periods controls the cutoff width through
+    gamma_c = min(0.2, collar_periods / periods): larger values thin
+    out the cutoff's derivative spikes relative to the oscillation, at
+    the price of a wider boundary band. Auto picks 2.5 for axis-aligned
+    oscillations (whose cutoff cross terms are gated by the cutoff value
+    itself) and 5.0 for rotated ones (where they add linearly to the top
+    eigenvalue).
     """
 
     periods: int | None = None
     gamma_s: float = 0.01
-    gamma_c: float | None = None
     collar_periods: float | None = None
     shave: float | None = None
-    min_periods: int = 64
     max_periods: int = 1 << 14
+
+
+# fewest periods an auto-sized atom gets, before the power-of-two round-up
+_MIN_PERIODS = 64
 
 
 @dataclass(frozen=True)
@@ -385,7 +389,7 @@ def _canonical_axis(e):
     return None
 
 
-def _probe_grid(cube, e, aligned_axis, periods, gamma_s, gamma_c):
+def _probe_grid(atom):
     """Deterministic points hitting the profile and cutoff extremes.
 
     For aligned atoms, a tensor grid of one full period's phases against
@@ -394,12 +398,13 @@ def _probe_grid(cube, e, aligned_axis, periods, gamma_s, gamma_c):
     points where a chosen oscillation phase meets each axis's cutoff
     ramp (the rotated cross terms peak there).
     """
+    cube, e, gc = atom.cube, atom.direction, atom.gamma_c
+    aligned_axis, periods = atom.aligned_axis, atom.periods
     n = cube.n
     lo = np.array(cube.lo)
     edges = np.array(cube.edges)
     center = lo + edges / 2.0
-    gc = gamma_c
-    b = profile_breakpoints(gamma_s)
+    b = profile_breakpoints(atom.gamma_s)
     phases = np.concatenate([np.linspace(b[i], b[i + 1], 9) for i in range(7)])
     if aligned_axis is not None:
         T = (1.0 - 2.0 * gc) * edges[aligned_axis]
@@ -510,14 +515,12 @@ def build_atom(A, Q, eps0, k, p, params=None):
             raise ValueError("periods must be positive")
     else:
         need = span * a0 / (2.5 * eps0)
-        periods = _pow2_at_least(max(params.min_periods, need, 4))
+        periods = _pow2_at_least(max(_MIN_PERIODS, need, 4))
         periods = min(periods, params.max_periods)
     collar = params.collar_periods
     if collar is None:
         collar = 2.5 if aligned is not None else 5.0
-    gamma_c = params.gamma_c
-    if gamma_c is None:
-        gamma_c = min(0.2, collar / periods)
+    gamma_c = min(0.2, collar / periods)
 
     atom = PerturbationAtom(
         cube=Q,
@@ -538,7 +541,7 @@ def build_atom(A, Q, eps0, k, p, params=None):
         shave = float(params.shave)
     else:
         probe = replace(atom, amplitude=1.0)
-        X = _probe_grid(Q, e, aligned, periods, params.gamma_s, gamma_c)
+        X = _probe_grid(probe)
         _, _, H = probe.value_grad_hess(X)
         shape_sup = float(op_norm(H).max())
         shave = min(1.0, (1.0 - 1e-6) * amp_cap / (a0 * shape_sup))
@@ -851,7 +854,13 @@ def _atom_integrals(atom, A, k, p):
     return mass, mass_err, power, power_err, resolution
 
 
-def certify_atom(atom, A, k, p, samples=10_000, seed=0, tau_bound=1.0):
+# seeded uniform points behind certify_atom's sampled sups, next to the
+# deterministic probe grid
+_CERT_SAMPLES = 10_000
+_CERT_SEED = 0
+
+
+def certify_atom(atom, A, k, p, tau_bound=1.0):
     """Measure an atom's properties against its frozen matrix.
 
     Sampled sups (value, gradient, Hessian operator norm, boundary band)
@@ -876,18 +885,10 @@ def certify_atom(atom, A, k, p, samples=10_000, seed=0, tau_bound=1.0):
     lo = np.array(cube.lo)
     edges = np.array(cube.edges)
 
-    rng = np.random.default_rng(seed)
-    X = lo + rng.random((samples, n)) * edges
+    rng = np.random.default_rng(_CERT_SEED)
+    X = lo + rng.random((_CERT_SAMPLES, n)) * edges
     if not atom.is_zero:
-        Xs = _probe_grid(
-            cube,
-            atom.direction,
-            atom.aligned_axis,
-            atom.periods,
-            atom.gamma_s,
-            atom.gamma_c,
-        )
-        X = np.vstack([X, Xs])
+        X = np.vstack([X, _probe_grid(atom)])
     g, grad, hess = atom.value_grad_hess(X)
     gnorm = np.linalg.norm(grad, axis=1)
     sup_value = float(np.abs(g).max())

@@ -2,22 +2,25 @@
 section, strict validation with line numbers, and a canonical serializer
 whose output parses back to the same config.
 
-Top-level keys (defaults in parentheses): n, k, p, alpha, eps, J, tau
-(none), q (none), seed (0), box_lo (zeros), box_hi (ones), quad_points
-(4), cube_cap (512), mass_floor (1e-14), schedule_mode (holder),
-strict_partition (false), node_budget (300000000), dump_res (0),
-dump_stages (empty), out_dir (runs/out). The [base] section needs a
-family key; every other entry is passed to the base builder, scalars as
-floats, space-separated rows as vectors, semicolon-separated rows as
-matrices.
+Top-level keys: n, k, p, alpha, eps and J are required; the rest default
+to the RunConfig fields of the same names. The nine stage-driver keys
+(tau, q, seed, quad_points, cube_cap, mass_floor, schedule_mode,
+strict_partition, node_budget) take their defaults from StairConfig, so
+a config that names none of them runs exactly like StairConfig(). The
+run keys are box_lo and box_hi (zeros and ones per axis), dump_res (0,
+no dump), dump_stages (empty, the last stage) and out_dir (runs/out).
+The [base] section appears once and needs a family key; every other
+entry is passed to the base builder, scalars as floats, space-separated
+rows as vectors, semicolon-separated rows as matrices. A key given twice,
+at the top level or inside [base], is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from degenhess.fields import Box, ScalarFieldC2, make_base
-from degenhess.staircase import StairConfig
+from degenhess.staircase import SCHEDULE_MODES, StairConfig
 
 
 class ConfigError(ValueError):
@@ -57,32 +60,24 @@ class RunConfig:
     eps: float
     J: int
     base: BaseSpec
-    tau: float | None = None
-    q: float | None = None
-    seed: int = 0
+    tau: float | None = StairConfig.tau
+    q: float | None = StairConfig.q
+    seed: int = StairConfig.seed
     box_lo: tuple = ()
     box_hi: tuple = ()
-    quad_points: int = 4
-    cube_cap: int = 512
-    mass_floor: float = 1e-14
-    schedule_mode: str = "holder"
-    strict_partition: bool = False
-    node_budget: int = 300_000_000
+    quad_points: int = StairConfig.quad_points
+    cube_cap: int = StairConfig.cube_cap
+    mass_floor: float = StairConfig.mass_floor
+    schedule_mode: str = StairConfig.schedule_mode
+    strict_partition: bool = StairConfig.strict_partition
+    node_budget: int = StairConfig.node_budget
     dump_res: int = 0
     dump_stages: tuple = ()
     out_dir: str = "runs/out"
 
     def stair_config(self):
         return StairConfig(
-            tau=self.tau,
-            q=self.q,
-            cube_cap=self.cube_cap,
-            mass_floor=self.mass_floor,
-            schedule_mode=self.schedule_mode,
-            strict_partition=self.strict_partition,
-            seed=self.seed,
-            quad_points=self.quad_points,
-            node_budget=self.node_budget,
+            **{f.name: getattr(self, f.name) for f in fields(StairConfig)}
         )
 
     def build_field(self):
@@ -149,6 +144,8 @@ def parse_config(text):
             name = line[1:-1].strip()
             if name != "base":
                 raise ConfigError(f"unknown section '[{name}]'", no)
+            if section == "base":
+                raise ConfigError("duplicate section '[base]'", no)
             section = "base"
             base_line = no
             continue
@@ -160,6 +157,8 @@ def parse_config(text):
         if not key:
             raise ConfigError("expected key = value", no)
         if section == "base":
+            if key in base_lines:
+                raise ConfigError(f"duplicate key '{key}' in [base]", no)
             base_lines[key] = no
             if key == "family":
                 base_family = value
@@ -200,71 +199,49 @@ def parse_config(text):
         raise ConfigError(msg, lines.get(key))
 
     n, k, p = raw["n"], raw["k"], raw["p"]
+    vals = {f.name: f.default for f in fields(RunConfig)
+            if f.default is not MISSING}
+    vals.update(box_lo=(0.0,) * n, box_hi=(1.0,) * n)
+    vals.update(raw)
     if not 2 <= k <= n <= 3:
         fail("requires 2 <= k <= n <= 3", "k" if k < 2 or k > n else "n")
     if p < 1.0:
         fail("requires 1 <= p", "p")
     if p >= k:
         fail("requires p < k", "p")
-    if not 0.0 < raw["alpha"] < 1.0:
+    if not 0.0 < vals["alpha"] < 1.0:
         fail("alpha must lie in (0,1)", "alpha")
-    if raw["eps"] <= 0.0:
+    if vals["eps"] <= 0.0:
         fail("eps must be positive", "eps")
-    if raw["J"] < 1:
+    if vals["J"] < 1:
         fail("J must be a positive integer", "J")
-    if "tau" in raw and not 0.0 < raw["tau"] < 1.0:
+    if vals["tau"] is not None and not 0.0 < vals["tau"] < 1.0:
         fail("tau must lie in (0,1)", "tau")
-    if "q" in raw and not p <= raw["q"] < k:
+    if vals["q"] is not None and not p <= vals["q"] < k:
         fail("requires p <= q < k", "q")
-    box_lo = raw.get("box_lo", tuple(0.0 for _ in range(n)))
-    box_hi = raw.get("box_hi", tuple(1.0 for _ in range(n)))
+    box_lo, box_hi = vals["box_lo"], vals["box_hi"]
     if len(box_lo) != n:
         fail(f"box_lo needs {n} entries", "box_lo")
     if len(box_hi) != n:
         fail(f"box_hi needs {n} entries", "box_hi")
     if any(h <= l for l, h in zip(box_lo, box_hi)):
         fail("box_hi must exceed box_lo per axis", "box_hi")
-    if raw.get("quad_points", 4) < 2:
+    if vals["quad_points"] < 2:
         fail("quad_points must be at least 2", "quad_points")
-    if raw.get("cube_cap", 512) < 4:
+    if vals["cube_cap"] < 4:
         fail("cube_cap must be at least 4", "cube_cap")
-    if raw.get("mass_floor", 1e-14) < 0.0:
+    if vals["mass_floor"] < 0.0:
         fail("mass_floor must be nonnegative", "mass_floor")
-    if raw.get("node_budget", 300_000_000) < 1:
+    if vals["node_budget"] < 1:
         fail("node_budget must be positive", "node_budget")
-    mode = raw.get("schedule_mode", "holder")
-    if mode not in ("holder", "contraction"):
+    if vals["schedule_mode"] not in SCHEDULE_MODES:
         fail("schedule_mode must be holder or contraction", "schedule_mode")
-    dump_res = raw.get("dump_res", 0)
-    if dump_res != 0 and dump_res < 2:
+    if vals["dump_res"] != 0 and vals["dump_res"] < 2:
         fail("resolution must be at least 2", "dump_res")
-    stages = raw.get("dump_stages", ())
-    if any(s < 0 or s > raw["J"] for s in stages):
+    if any(s < 0 or s > vals["J"] for s in vals["dump_stages"]):
         fail("dump_stages entries must lie in 0..J", "dump_stages")
 
-    cfg = RunConfig(
-        n=n,
-        k=k,
-        p=p,
-        alpha=raw["alpha"],
-        eps=raw["eps"],
-        J=raw["J"],
-        base=BaseSpec(base_family, dict(base_params)),
-        tau=raw.get("tau"),
-        q=raw.get("q"),
-        seed=raw.get("seed", 0),
-        box_lo=box_lo,
-        box_hi=box_hi,
-        quad_points=raw.get("quad_points", 4),
-        cube_cap=raw.get("cube_cap", 512),
-        mass_floor=raw.get("mass_floor", 1e-14),
-        schedule_mode=mode,
-        strict_partition=raw.get("strict_partition", False),
-        node_budget=raw.get("node_budget", 300_000_000),
-        dump_res=dump_res,
-        dump_stages=stages,
-        out_dir=raw.get("out_dir", "runs/out"),
-    )
+    cfg = RunConfig(base=BaseSpec(base_family, dict(base_params)), **vals)
     try:
         cfg.build_field()
     except (ValueError, TypeError) as exc:
@@ -283,6 +260,8 @@ def _fmt_num(v):
 
 
 def _fmt_param(v):
+    if isinstance(v, str):
+        return v
     if isinstance(v, list) and v and isinstance(v[0], list):
         return "; ".join(" ".join(_fmt_num(x) for x in row) for row in v)
     if isinstance(v, (list, tuple)):
@@ -291,36 +270,17 @@ def _fmt_param(v):
 
 
 def serialize_config(cfg):
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    out = [
-        f"n = {cfg.n}",
-        f"k = {cfg.k}",
-        f"p = {_fmt_num(cfg.p)}",
-        f"alpha = {_fmt_num(cfg.alpha)}",
-        f"eps = {_fmt_num(cfg.eps)}",
-        f"J = {cfg.J}",
-    ]
-    if cfg.tau is not None:
-        out.append(f"tau = {_fmt_num(cfg.tau)}")
-    if cfg.q is not None:
-        out.append(f"q = {_fmt_num(cfg.q)}")
-    out.extend(
-        [
-            f"seed = {cfg.seed}",
-            f"box_lo = {' '.join(_fmt_num(v) for v in cfg.box_lo)}",
-            f"box_hi = {' '.join(_fmt_num(v) for v in cfg.box_hi)}",
-            f"quad_points = {cfg.quad_points}",
-            f"cube_cap = {cfg.cube_cap}",
-            f"mass_floor = {_fmt_num(cfg.mass_floor)}",
-            f"schedule_mode = {cfg.schedule_mode}",
-            f"strict_partition = {_fmt_num(cfg.strict_partition)}",
-            f"node_budget = {cfg.node_budget}",
-            f"dump_res = {cfg.dump_res}",
-        ]
-    )
-    if cfg.dump_stages:
-        out.append(f"dump_stages = {' '.join(str(s) for s in cfg.dump_stages)}")
-    out.append(f"out_dir = {cfg.out_dir}")
+    """Canonical text form; parse_config(serialize_config(c)) == c.
+
+    Keys follow the RunConfig field order; tau and q are left out when
+    unset and dump_stages when empty.
+    """
+    out = []
+    for f in fields(RunConfig):
+        v = getattr(cfg, f.name)
+        if f.name == "base" or v is None or f.name == "dump_stages" and not v:
+            continue
+        out.append(f"{f.name} = {_fmt_param(v)}")
     out.extend(["", "[base]", f"family = {cfg.base.family}"])
     for key in sorted(cfg.base.params):
         out.append(f"{key} = {_fmt_param(cfg.base.params[key])}")

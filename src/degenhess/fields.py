@@ -102,6 +102,15 @@ def _check_points(X, n):
     return X
 
 
+def _domain_points(box, X, check_domain):
+    """X as (P, n) points; DomainError for one outside box if checked."""
+    X = _check_points(X, box.n)
+    if check_domain and not bool(box.contains(X).all()):
+        bad = X[~box.contains(X)][0]
+        raise DomainError(f"point {bad.tolist()} outside box {box}")
+    return X
+
+
 class AffineBase:
     """a . x + c, Hessian identically zero.
 
@@ -418,13 +427,6 @@ class _LayeredField:
     def with_layers(self, new_layers):
         return type(self)(self.base, self.box, self.layers + tuple(new_layers))
 
-    def _points(self, X, check_domain):
-        X = _check_points(X, self.n)
-        if check_domain and not bool(self.box.contains(X).all()):
-            bad = X[~self.box.contains(X)][0]
-            raise DomainError(f"point {bad.tolist()} outside box {self.box}")
-        return X
-
 
 class ScalarFieldC2(_LayeredField):
     """base + ordered perturbation layers on a domain box, scalar valued.
@@ -433,7 +435,7 @@ class ScalarFieldC2(_LayeredField):
     """
 
     def evaluate_many(self, X, check_domain=True):
-        X = self._points(X, check_domain)
+        X = _domain_points(self.box, X, check_domain)
         val, grad, hess = self.base.value_grad_hess(X)
         for layer in self.layers:
             v, g, h = layer.value_grad_hess(X)

@@ -116,10 +116,11 @@ def _rotate_pair(A, V, p, q):
         V[:, r, q] = vrq + s * (vrp - tau * vrq)
 
 
-def _jacobi_eigvals(flat, sweeps_cap=100):
-    # Values-only cyclic Jacobi for an already-flattened symmetric batch.
-    # Used internally with sides up to 2 * MAX_DIM (singular value embedding).
-    work = flat.copy()
+def _jacobi_sweeps(work, V, sweeps_cap):
+    # Cyclic Jacobi in place on a flattened symmetric batch: rotations
+    # sweep the strict upper triangle in row order until the off-diagonal
+    # mass falls below 1e-14 of the matrix norm. V (or None) accumulates
+    # the eigenvectors.
     n = work.shape[-1]
     norm = np.sqrt((work * work).sum(axis=(1, 2)))
     tol2 = (1e-14 * np.maximum(norm, 1e-300)) ** 2
@@ -128,11 +129,18 @@ def _jacobi_eigvals(flat, sweeps_cap=100):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _rotate_pair(work, None, p, q)
+                _rotate_pair(work, V, p, q)
     if not bool((_offdiag_sq(work) <= tol2).all()):
         raise EigenConvergenceError(
             f"Jacobi iteration did not converge within {sweeps_cap} sweeps"
         )
+
+
+def _jacobi_eigvals(flat, sweeps_cap=100):
+    # Values-only cyclic Jacobi for an already-flattened symmetric batch.
+    # Used internally with sides up to 2 * MAX_DIM (singular value embedding).
+    work = flat.copy()
+    _jacobi_sweeps(work, None, sweeps_cap)
     return np.sort(np.einsum("bii->bi", work), axis=1)
 
 
@@ -157,20 +165,7 @@ def sym_eigen(A, sweeps_cap: int = 100) -> Spectrum:
     work = A.reshape(-1, n, n).copy()
     nbatch = work.shape[0]
     V = np.broadcast_to(np.eye(n), (nbatch, n, n)).copy()
-
-    norm = np.sqrt((work * work).sum(axis=(1, 2)))
-    tol2 = (1e-14 * np.maximum(norm, 1e-300)) ** 2
-    if n > 1:
-        for _ in range(sweeps_cap):
-            if bool((_offdiag_sq(work) <= tol2).all()):
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _rotate_pair(work, V, p, q)
-        if not bool((_offdiag_sq(work) <= tol2).all()):
-            raise EigenConvergenceError(
-                f"Jacobi iteration did not converge within {sweeps_cap} sweeps"
-            )
+    _jacobi_sweeps(work, V, sweeps_cap)
 
     vals = np.einsum("bii->bi", work).copy()
     order = np.argsort(vals, axis=1, kind="stable")

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 import numpy as np
 
 from degenhess.atom import (
-    AtomParams,
     AtomTuningError,
     PerturbationAtom,
     VectorAtom,
@@ -39,6 +38,7 @@ from degenhess.fields import (
     QuadratureCounts,
     ScalarFieldC2,
     _LayeredField,
+    _domain_points,
     integrate_on_partition,
     modulus_of_continuity,
     refine_partition,
@@ -76,16 +76,24 @@ def default_tau(k, p):
     return min(pred + 0.1, 0.97)
 
 
+SCHEDULE_MODES = ("holder", "contraction")
+
+
 @dataclass(frozen=True)
 class StairConfig:
-    """Knobs of the stage driver.
+    """Settings of the stage driver.
 
-    tau and q override the defaults derived from (k, p). schedule_mode
-    'holder' uses the closeness budget that keeps the final field within
-    eps of the base in the C1-alpha scale; 'contraction' spends the full
-    tau^j/6 on each stage and waives that guarantee (recorded on the
-    schedule). mass_floor is relative to the stage's estimated total
-    mass; cubes below it get zero atoms without tuning.
+    tau and q override the defaults derived from (k, p). cube_cap caps
+    the cells per partition axis; strict_partition raises instead of
+    waiving or stalling a capped stage. schedule_mode 'holder' keeps the
+    final field within eps of the base in the C1-alpha scale;
+    'contraction' spends tau^j/6 on each stage and waives that guarantee
+    (recorded on the schedule). mass_floor, relative to the stage's mass,
+    skips near-flat cubes. seed pins every random draw. quad_points and
+    node_budget set the stage quadrature. Fixed sizes are module
+    constants at their one use (_BASE_PANELS, _EVAL_CHUNK, _C0_SAMPLES,
+    _C2_SAMPLES, _SUP_CAP_POINTS, _BETA_PAIRS, _MODULUS_PAIRS) or the
+    callee's defaults (_bisect_delta's samples, tune_atom's budget).
     """
 
     tau: float | None = None
@@ -95,21 +103,11 @@ class StairConfig:
     schedule_mode: str = "holder"
     strict_partition: bool = False
     seed: int = 0
-    atom_budget: int = 8
-    atom_params: AtomParams | None = None
     quad_points: int = 4
-    base_panels: int = 6
     node_budget: int = 300_000_000
-    c2_samples: int = 100_000
-    c0_samples: int = 4096
-    delta_samples: int = 1000
-    beta_pairs: int = 1500
-    modulus_pairs: int = 4000
-    sup_cap_points: int = 2_000_000
-    eval_chunk: int = 1 << 18
 
     def __post_init__(self):
-        if self.schedule_mode not in ("holder", "contraction"):
+        if self.schedule_mode not in SCHEDULE_MODES:
             raise ValueError(f"unknown schedule_mode '{self.schedule_mode}'")
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0,1)")
@@ -325,7 +323,7 @@ class VectorFieldC1(_LayeredField):
     """
 
     def evaluate_many(self, X, check_domain=True):
-        X = self._points(X, check_domain)
+        X = _domain_points(self.box, X, check_domain)
         vals, jacs = self.base.value_jac(X)
         for layer in self.layers:
             v, g = layer.displacement_jacobian_many(X)
@@ -529,12 +527,16 @@ def _cell_matrix(field, partition, cell):
 # trains; a longer atom list is cut, and the schedule records the cut
 _SUP_PROBE_ATOMS = 64
 _BETA_PROBE_ATOMS = 8
+# most grid points the K_j sample evaluates; finer requests are coarsened
+_SUP_CAP_POINTS = 2_000_000
+# point pairs per bisection radius of beta_j
+_BETA_PAIRS = 1500
 
 
-def _sup_grid(box, res, cap_points):
+def _sup_grid(box, res):
     n = box.n
     res = int(res)
-    while res > 2 and (res + 1) ** n > cap_points:
+    while res > 2 and (res + 1) ** n > _SUP_CAP_POINTS:
         res -= 1
     axes = [np.linspace(lo, hi, res + 1) for lo, hi in zip(box.lo, box.hi)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -554,7 +556,7 @@ def _atom_center_line(atom, box, points=256):
     return pts[ok.all(axis=1)]
 
 
-def _sample_matrix_sup(field, res, seed, cap_points, per_layer=2048):
+def _sample_matrix_sup(field, res, seed, per_layer=2048):
     """Sampled sup of the matrix field's operator norm.
 
     A uniform grid alone would alias past committed atom oscillations,
@@ -563,7 +565,7 @@ def _sample_matrix_sup(field, res, seed, cap_points, per_layer=2048):
     support. Returns (sup, samples, grid resolution, atoms probed).
     """
     box = field.box
-    pts, res_used = _sup_grid(box, res, cap_points)
+    pts, res_used = _sup_grid(box, res)
     chunks = [pts]
     rng = _rng(seed, 101)
     probed = _layer_atoms(field)[:_SUP_PROBE_ATOMS]
@@ -623,7 +625,7 @@ def _bisect_delta(n, k, q, bound, K, seed, samples=1000, iters=48):
     return lo
 
 
-def _pair_sup(field, r, rng_key, pairs, atoms):
+def _pair_sup(field, r, rng_key, atoms):
     """Sampled sup of the matrix increment over pairs at distance <= r."""
     box = field.box
     lo = np.array(box.lo)
@@ -634,7 +636,7 @@ def _pair_sup(field, r, rng_key, pairs, atoms):
     ys = []
     got = 0
     for _ in range(4):
-        take = (pairs - got) * 2
+        take = (_BETA_PAIRS - got) * 2
         if take <= 0:
             break
         x = rng.uniform(lo, hi, (take, n))
@@ -642,8 +644,8 @@ def _pair_sup(field, r, rng_key, pairs, atoms):
         u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
         y = x + u * rng.uniform(0.0, r, (take, 1))
         okm = ((y >= lo) & (y <= hi)).all(axis=1)
-        xs.append(x[okm][: pairs - got])
-        ys.append(y[okm][: pairs - got])
+        xs.append(x[okm][: _BETA_PAIRS - got])
+        ys.append(y[okm][: _BETA_PAIRS - got])
         got += xs[-1].shape[0]
     for atom in atoms:
         line = _atom_center_line(atom, box)
@@ -667,7 +669,7 @@ def _pair_sup(field, r, rng_key, pairs, atoms):
     return sup, int(X.shape[0])
 
 
-def _bisect_beta(field, delta, seed, pairs, iters=28):
+def _bisect_beta(field, delta, seed, iters=28):
     """Largest sampled radius with matrix oscillation below delta.
 
     Pairs straddle the trains of the first _BETA_PROBE_ATOMS live atoms.
@@ -679,7 +681,7 @@ def _bisect_beta(field, delta, seed, pairs, iters=28):
         return diam, 0, 0
     atoms = _layer_atoms(field)[:_BETA_PROBE_ATOMS]
     total_pairs = 0
-    sup, cnt = _pair_sup(field, diam, (seed, 303, 0), pairs, atoms)
+    sup, cnt = _pair_sup(field, diam, (seed, 303, 0), atoms)
     total_pairs += cnt
     if sup < delta:
         return diam, total_pairs, len(atoms)
@@ -687,7 +689,7 @@ def _bisect_beta(field, delta, seed, pairs, iters=28):
     hi = diam
     for it in range(1, iters + 1):
         mid = 0.5 * (lo + hi)
-        sup, cnt = _pair_sup(field, mid, (seed, 303, it), pairs, atoms)
+        sup, cnt = _pair_sup(field, mid, (seed, 303, it), atoms)
         total_pairs += cnt
         if sup < delta:
             lo = mid
@@ -723,7 +725,7 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
 
     res = 4 * max(m_prev, 2**j)
     K, sup_samples, res_used, sup_probed = _sample_matrix_sup(
-        f_prev, res, (config.seed, j), config.sup_cap_points
+        f_prev, res, (config.seed, j)
     )
 
     def eps_of(Kval):
@@ -736,12 +738,8 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
         return min(cap, budget) / 2.0
 
     def plan_of(Kval):
-        delta = _bisect_delta(
-            n, k, q, tau**j / 2.0, Kval, (config.seed, j), config.delta_samples
-        )
-        return (delta,) + _bisect_beta(
-            f_prev, delta, (config.seed, j), config.beta_pairs
-        )
+        delta = _bisect_delta(n, k, q, tau**j / 2.0, Kval, (config.seed, j))
+        return (delta,) + _bisect_beta(f_prev, delta, (config.seed, j))
 
     eps_j = eps_of(K)
     delta_j, beta_j, beta_pairs, beta_probed = plan_of(K)
@@ -771,7 +769,7 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
 
     if not stalled and 4 * m_j > res_used:
         K2, extra, res_used, _ = _sample_matrix_sup(
-            f_prev, 4 * m_j, (config.seed, j), config.sup_cap_points
+            f_prev, 4 * m_j, (config.seed, j)
         )
         sup_samples += extra
         if K2 > K * (1.0 + 1e-12):
@@ -807,7 +805,13 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
 # ------------------------------------------------------- stage quadrature
 
 
-def _axis_edges_for_cell(cell, atoms, axis, base_panels):
+# panels per cell axis before atom breakpoints are added
+_BASE_PANELS = 6
+# integrand points per evaluation chunk of a partition integral
+_EVAL_CHUNK = 1 << 18
+
+
+def _axis_edges_for_cell(cell, atoms, axis):
     """Unit-coordinate panel edges for one cell axis.
 
     Aligned atoms contribute their exact profile breakpoints along the
@@ -819,7 +823,7 @@ def _axis_edges_for_cell(cell, atoms, axis, base_panels):
     lo = cell.lo[axis]
     w = cell.hi[axis] - lo
     marks = [0.0, 1.0]
-    min_uniform = base_panels
+    min_uniform = _BASE_PANELS
     for atom in atoms:
         C = atom.cube
         Clo = C.lo[axis]
@@ -917,8 +921,8 @@ def _partition_integrals(field, partition, integrand, nout, config,
     integrand(ci, cell) returns the cell's fn. Each integrated cell's
     panels snap to the breakpoints of the committed atoms that reach it
     and, when new_atoms (one per cell) is given, of its new atom; the
-    StairConfig supplies the Gauss points, base panels, chunk and node
-    budget. classes, one _cell_class key per cell, is passed through.
+    StairConfig supplies the Gauss points and the node budget. classes,
+    one _cell_class key per cell, is passed through.
     Returns (values, errors, QuadratureCounts), values and errors of
     shape (cells, nout) in row-major cell order.
     """
@@ -927,14 +931,11 @@ def _partition_integrals(field, partition, integrand, nout, config,
         atoms = _atoms_at_cell(field, partition, cell)
         if new_atoms is not None and not new_atoms[ci].is_zero:
             atoms.append(_geometry_atom(new_atoms[ci]))
-        return [
-            _axis_edges_for_cell(cell, atoms, a, config.base_panels)
-            for a in range(partition.n)
-        ]
+        return [_axis_edges_for_cell(cell, atoms, a) for a in range(partition.n)]
 
     return integrate_on_partition(
         integrand, partition, nout, edges=edges, points=config.quad_points,
-        chunk=config.eval_chunk, node_budget=config.node_budget,
+        chunk=_EVAL_CHUNK, node_budget=config.node_budget,
         classes=classes,
     )
 
@@ -991,7 +992,7 @@ def field_invariant_integrals(field, partition, k, q=None, config=None):
 # ------------------------------------------------------------- run_stage
 
 
-def _tune_for_cube(A, cube, eps_j, k, q, tau_target, config, cache, vector=False):
+def _tune_for_cube(A, cube, eps_j, k, q, tau_target, cache, vector=False):
     """Tuned atom plus certificate for one frozen matrix, cache-aware.
 
     The atom geometry depends only on the matrix and the cell shape, so
@@ -1016,10 +1017,7 @@ def _tune_for_cube(A, cube, eps_j, k, q, tau_target, config, cache, vector=False
         canon = Box(tuple(0.0 for _ in edges), edges)
         O, S = polar_decompose(np.asarray(A, dtype=float)) if vector else (None, A)
         try:
-            out = tune_atom(
-                S, canon, eps_j, k, q, tau_target,
-                budget=config.atom_budget, params=config.atom_params,
-            )
+            out = tune_atom(S, canon, eps_j, k, q, tau_target)
             atom, cert, failed = out.atom, out.certificate, False
         except AtomTuningError as err:
             atom, cert, failed = err.atom, err.certificate, True
@@ -1038,6 +1036,12 @@ def _make_zero(cube, eps_j, vector):
         return atom
     n = cube.n
     return VectorAtom(rotation=np.eye(n), base_symmetric=np.zeros((n, n)), atom=atom)
+
+
+# seeded points of the C0 cross-check over the whole box, and the
+# Hessian-cap samples shared among the live cells (32 to 256 per cell)
+_C0_SAMPLES = 4096
+_C2_SAMPLES = 100_000
 
 
 def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
@@ -1130,7 +1134,7 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
                 )
                 continue
             atom, cert, failed = _tune_for_cube(
-                A, cell.box, eps_j, k, q, tau, config, atom_cache, vector=vector
+                A, cell.box, eps_j, k, q, tau, atom_cache, vector=vector
             )
             atoms.append(atom)
             certs.append(cert)
@@ -1157,7 +1161,7 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
             (c.sup_gradient if vector else c.sup_c1) for c in certs
         )
         rngg = _rng(config.seed, j, 7)
-        pts = np.array(box.lo) + rngg.random((config.c0_samples, n)) * np.array(
+        pts = np.array(box.lo) + rngg.random((_C0_SAMPLES, n)) * np.array(
             box.edges
         )
         if vector:
@@ -1176,7 +1180,7 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
     c2_margin = math.inf
     c2_count = 0
     if any_live:
-        per_cell = max(32, min(256, config.c2_samples // max(ncells, 1)))
+        per_cell = max(32, min(256, _C2_SAMPLES // max(ncells, 1)))
         rng2 = _rng(config.seed, j, 11)
         for ci, cell in enumerate(cells):
             atom = atoms[ci]
@@ -1364,6 +1368,10 @@ def _base_seminorm_qq(field, q, config):
     return float(vals.sum()), float(errs.sum())
 
 
+# point pairs per radius of the sampled Hoelder quotients of a run
+_MODULUS_PAIRS = 4000
+
+
 def _run_loop(f0, k, p, alpha, eps, J, config):
     if not isinstance(k, int) or not 2 <= k <= f0.n:
         raise ValueError(f"k must be an integer in 2..{f0.n}")
@@ -1452,7 +1460,7 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
             continue
         table = _holder_table(
             fields_chain[i + 1], fields_chain[i], alpha, radii,
-            config.modulus_pairs, config.seed + 23 + i,
+            _MODULUS_PAIRS, config.seed + 23 + i,
         )
         sup_v = max(c.sup_value for c in cert.atom_certs)
         sup_g = max(c.sup_gradient for c in cert.atom_certs)
@@ -1462,7 +1470,7 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
         interp.append((lhs_i, rhs_i, lhs_i <= rhs_i * (1.0 + 1e-9) + 1e-15))
 
     profile = _holder_table(
-        f, f0, alpha, radii, config.modulus_pairs, config.seed + 29
+        f, f0, alpha, radii, _MODULUS_PAIRS, config.seed + 29
     )
     quot = max(profile.values)
     sup_val, sup_grad = _sup_c1_distance(f, f0, 8192, config.seed)
@@ -1548,7 +1556,7 @@ class PiecewiseField:
         return np.ravel_multi_index(tuple(idx[:, a] for a in range(self.n)), self.counts)
 
     def evaluate_many(self, X, check_domain=True):
-        X = np.asarray(X, dtype=float)
+        X = _domain_points(self.box, X, check_domain)
         flat = self._flat(X)
         val = np.zeros(X.shape[0])
         grad = np.zeros_like(X)

@@ -5,10 +5,12 @@ directory per config and reuses it across assertions.
 """
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from degenhess import config
 from degenhess.cli import main, read_matrix
 from degenhess.config import (
     BaseSpec,
@@ -19,6 +21,7 @@ from degenhess.config import (
 )
 from degenhess.fields import load_grid
 from degenhess.report import STAGE_COLUMNS
+from degenhess.staircase import StairConfig
 
 MINIMAL = """\
 n = 2
@@ -113,6 +116,18 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="duplicate key 'k'"):
             parse_config(_swap(MINIMAL, "J = 3", "J = 3\nk = 2"))
 
+    def test_duplicate_base_key_rejected(self):
+        text = MINIMAL + "matrix = 2 0; 0 2\n"
+        with pytest.raises(ConfigError, match="duplicate key 'matrix'") as ei:
+            parse_config(text)
+        assert "line 11" in str(ei.value)
+
+    def test_duplicate_base_section_rejected(self):
+        text = MINIMAL + "\n[base]\nconstant = 1\n"
+        with pytest.raises(ConfigError, match=r"duplicate section '\[base\]'") as ei:
+            parse_config(text)
+        assert "line 12" in str(ei.value)
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing required key 'eps'"):
             parse_config(_swap(MINIMAL, "eps = 0.1\n", ""))
@@ -186,6 +201,26 @@ class TestConfigGrammar:
         sc = cfg.stair_config()
         assert sc.tau == 0.8 and sc.seed == 12
         assert sc.node_budget == 5000 and sc.quad_points == 3
+
+    def test_stage_defaults_match_stair_config(self):
+        assert parse_config(MINIMAL).stair_config() == StairConfig()
+
+    def test_every_stage_key_passes_through(self):
+        values = {
+            "tau": 0.85, "q": 1.75, "cube_cap": 64, "mass_floor": 1e-9,
+            "schedule_mode": "contraction", "strict_partition": True,
+            "seed": 17, "quad_points": 3, "node_budget": 12345,
+        }
+        assert set(values) == {f.name for f in fields(StairConfig)}
+        text = _add("\n".join(
+            f"{key} = {str(v).lower() if isinstance(v, bool) else v}"
+            for key, v in values.items()
+        ))
+        assert parse_config(text).stair_config() == StairConfig(**values)
+
+    def test_grammar_keys_are_run_config_fields(self):
+        names = {f.name for f in fields(RunConfig)} - {"base"}
+        assert set(config._ALL_KEYS) == names
 
     def test_build_field_shape(self):
         f = parse_config(MINIMAL).build_field()

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import degenhess
+from degenhess.config import _ALL_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,6 +29,16 @@ def test_readme_imports_resolve():
         assert hasattr(degenhess, name), name
         assert name in degenhess.__all__, name
     exec("from degenhess import " + ", ".join(names), {})
+
+
+def test_readme_key_table_matches_grammar():
+    # the first column of the README's top-level key table, against the
+    # keys parse_config accepts
+    text = README.read_text()
+    table = text[text.index("| key "):]
+    rows = re.findall(r"^\|([^|]*)\|", table.split("\n\n")[0], re.M)
+    keys = {k for row in rows[2:] for k in re.findall(r"`(\w+)`", row)}
+    assert keys == set(_ALL_KEYS)
 
 
 def test_tracer_targets_resolve():

@@ -6,6 +6,7 @@ import pytest
 from degenhess.fields import (
     Box,
     CubePartition,
+    DomainError,
     PartitionCapError,
     QuadratureError,
     ScalarFieldC2,
@@ -24,6 +25,7 @@ from degenhess.measures import (
 from degenhess.report import run_report_text
 from degenhess.staircase import (
     LinearMapBase,
+    PiecewiseField,
     ScheduleError,
     StagePerturbation,
     StageSchedule,
@@ -651,6 +653,14 @@ class TestAssembleBoxDomain:
         v, g, h = asm.field.evaluate_many(pts)
         assert np.allclose(v, pts @ np.array([0.3, -0.2]) + 1.0, atol=1e-14)
         assert np.abs(h).max() == 0.0
+
+    def test_evaluate_checks_domain(self):
+        w = ScalarFieldC2(make_base("quadratic", {"matrix": np.eye(2)}, 2), UNIT_BOX)
+        glued = PiecewiseField(UNIT_BOX, (1, 1), [w])
+        with pytest.raises(DomainError):
+            glued.evaluate_many(np.array([[5.0, 5.0]]))
+        v, _, _ = glued.evaluate_many(np.array([[5.0, 5.0]]), check_domain=False)
+        assert v[0] == 25.0
 
     def test_rejects_nondividing_cell(self):
         w = affine_field()
