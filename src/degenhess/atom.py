@@ -301,8 +301,50 @@ class PerturbationAtom:
         lo = np.array(self.cube.lo)
         edges = np.array(self.cube.edges)
         center = lo + edges / 2.0
+        Xl = (X - lo) / edges
+        return self._jet((X - center) @ self.direction, Xl.T, (P,))
+
+    def matrix_on(self, grid):
+        """The Hessian at grid.points, (P, n, n).
+
+        On a tensor grid an aligned atom evaluates its profile once per
+        node of the oscillation axis and each cutoff once per node of its
+        collar axis; _jet then broadcasts the products value_grad_hess
+        forms, in its order, so the result is bitwise the same. Rotated
+        atoms, zero atoms and scattered points go through value_grad_hess.
+        """
+        a0 = self.aligned_axis
+        if (grid.axes is None or a0 is None or self.amplitude == 0.0
+                or self.periods == 0):
+            return self.value_grad_hess(grid.points)[2]
+        n = len(grid.axes)
+
+        def along(a, v):
+            shape = [1] * n
+            shape[a] = v.size
+            return v.reshape(shape)
+
+        lo = np.array(self.cube.lo)
+        edges = np.array(self.cube.edges)
+        center = lo + edges / 2.0
+        t = along(a0, (grid.axes[a0] - center[a0]) * self.direction[a0])
+        Xl = {
+            a: along(a, (grid.axes[a] - lo[a]) / edges[a])
+            for a in self._collar_axes()
+        }
+        shape = tuple(1 if a == a0 else v.size for a, v in enumerate(grid.axes))
+        return self._jet(t, Xl, shape)[2].reshape(-1, n, n)
+
+    def _jet(self, t, Xl, shape):
+        """Value, gradient and Hessian of the atom from the offsets t along
+        its direction and the unit coordinates Xl[a] of each collar axis.
+
+        The arrays broadcast: t and the collar cutoffs to shape, and the
+        result to their common shape, so per-point and per-axis inputs
+        form the same products in the same order.
+        """
+        n = self.cube.n
         e = self.direction
-        t = (X - center) @ e
         T = self.train_extent
         delta = T / self.periods
         in_train = np.abs(t) <= T / 2.0
@@ -316,47 +358,47 @@ class PerturbationAtom:
         psi1 = self.amplitude * delta * w1
         psi2 = self.amplitude * w2
 
-        Xl = (X - lo) / edges
+        edges = np.array(self.cube.edges)
         collar = self._collar_axes()
         c0s = {}
         c1s = {}
         c2s = {}
         for a in collar:
-            c0, c1, c2 = cutoff_eval(Xl[:, a], self.gamma_c)
+            c0, c1, c2 = cutoff_eval(Xl[a], self.gamma_c)
             c0s[a] = c0
             c1s[a] = c1 / edges[a]
             c2s[a] = c2 / (edges[a] * edges[a])
-        chi = np.ones(P)
+        chi = np.ones(shape)
         for a in collar:
             chi = chi * c0s[a]
 
         def prod_except(skip):
-            out = np.ones(P)
+            out = np.ones(shape)
             for a in collar:
                 if a not in skip:
                     out = out * c0s[a]
             return out
 
-        gchi = np.zeros((P, n))
+        gchi = np.zeros(shape + (n,))
         for a in collar:
-            gchi[:, a] = c1s[a] * prod_except((a,))
-        hchi = np.zeros((P, n, n))
+            gchi[..., a] = c1s[a] * prod_except((a,))
+        hchi = np.zeros(shape + (n, n))
         for a in collar:
-            hchi[:, a, a] = c2s[a] * prod_except((a,))
+            hchi[..., a, a] = c2s[a] * prod_except((a,))
         for a, b2 in combinations(collar, 2):
             cross = c1s[a] * c1s[b2] * prod_except((a, b2))
-            hchi[:, a, b2] = cross
-            hchi[:, b2, a] = cross
+            hchi[..., a, b2] = cross
+            hchi[..., b2, a] = cross
 
         val = chi * psi
-        grad = (chi * psi1)[:, None] * e[None, :] + psi[:, None] * gchi
+        grad = (chi * psi1)[..., None] * e + psi[..., None] * gchi
         ee = np.outer(e, e)
-        mixed = gchi[:, :, None] * e[None, None, :]
-        mixed = mixed + mixed.transpose(0, 2, 1)
+        mixed = gchi[..., :, None] * e
+        mixed = mixed + np.swapaxes(mixed, -1, -2)
         hess = (
-            (chi * psi2)[:, None, None] * ee[None, :, :]
-            + psi1[:, None, None] * mixed
-            + psi[:, None, None] * hchi
+            (chi * psi2)[..., None, None] * ee
+            + psi1[..., None, None] * mixed
+            + psi[..., None, None] * hchi
         )
         return val, grad, hess
 
@@ -1117,6 +1159,10 @@ class VectorAtom:
     def displacement_jacobian(self, X):
         _, grad, hess = self.atom.value_grad_hess(X)
         return grad @ self.rotation.T, self.rotation @ hess
+
+    def matrix_on(self, grid):
+        """The Jacobian O D^2 g at grid.points, from the atom's matrix_on."""
+        return self.rotation @ self.atom.matrix_on(grid)
 
 
 def build_vector_atom(B, Q, eps0, k, p, params=None):

@@ -7,8 +7,9 @@ to the RunConfig fields of the same names. The nine stage-driver keys
 (tau, q, seed, quad_points, cube_cap, mass_floor, schedule_mode,
 strict_partition, node_budget) take their defaults from StairConfig, so
 a config that names none of them runs exactly like StairConfig(). The
-run keys are box_lo and box_hi (zeros and ones per axis), dump_res (0,
-no dump), dump_stages (empty, the last stage) and out_dir (runs/out).
+run keys are box_lo and box_hi (the unit box, which RunConfig fills from
+n), dump_res (0, no dump), dump_stages (empty, the last stage) and
+out_dir (runs/out).
 The [base] section appears once and needs a family key; every other
 entry is passed to the base builder, scalars as floats, space-separated
 rows as vectors, semicolon-separated rows as matrices. A key given twice,
@@ -74,6 +75,13 @@ class RunConfig:
     dump_res: int = 0
     dump_stages: tuple = ()
     out_dir: str = "runs/out"
+
+    def __post_init__(self):
+        # an unset box is the unit box in n dimensions
+        if not self.box_lo:
+            object.__setattr__(self, "box_lo", (0.0,) * self.n)
+        if not self.box_hi:
+            object.__setattr__(self, "box_hi", (1.0,) * self.n)
 
     def stair_config(self):
         return StairConfig(
@@ -201,8 +209,8 @@ def parse_config(text):
     n, k, p = raw["n"], raw["k"], raw["p"]
     vals = {f.name: f.default for f in fields(RunConfig)
             if f.default is not MISSING}
-    vals.update(box_lo=(0.0,) * n, box_hi=(1.0,) * n)
     vals.update(raw)
+    cfg = RunConfig(base=BaseSpec(base_family, dict(base_params)), **vals)
     if not 2 <= k <= n <= 3:
         fail("requires 2 <= k <= n <= 3", "k" if k < 2 or k > n else "n")
     if p < 1.0:
@@ -219,12 +227,10 @@ def parse_config(text):
         fail("tau must lie in (0,1)", "tau")
     if vals["q"] is not None and not p <= vals["q"] < k:
         fail("requires p <= q < k", "q")
-    box_lo, box_hi = vals["box_lo"], vals["box_hi"]
-    if len(box_lo) != n:
-        fail(f"box_lo needs {n} entries", "box_lo")
-    if len(box_hi) != n:
-        fail(f"box_hi needs {n} entries", "box_hi")
-    if any(h <= l for l, h in zip(box_lo, box_hi)):
+    for key in _VEC_KEYS:
+        if key in raw and len(raw[key]) != n:
+            fail(f"{key} needs {n} entries", key)
+    if any(h <= l for l, h in zip(cfg.box_lo, cfg.box_hi)):
         fail("box_hi must exceed box_lo per axis", "box_hi")
     if vals["quad_points"] < 2:
         fail("quad_points must be at least 2", "quad_points")
@@ -241,7 +247,6 @@ def parse_config(text):
     if any(s < 0 or s > vals["J"] for s in vals["dump_stages"]):
         fail("dump_stages entries must lie in 0..J", "dump_stages")
 
-    cfg = RunConfig(base=BaseSpec(base_family, dict(base_params)), **vals)
     try:
         cfg.build_field()
     except (ValueError, TypeError) as exc:

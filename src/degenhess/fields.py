@@ -638,6 +638,25 @@ def _thin_to_budget(axes_edges, points, cap):
     return es
 
 
+@dataclass(frozen=True, eq=False)
+class TensorGrid:
+    """Points an integrand is evaluated at, (P, n).
+
+    When the points are a tensor product, axes holds the per-axis node
+    arrays and points lists their product in 'ij' order (last axis
+    fastest), so an evaluator may work per axis and broadcast; axes is
+    None for scattered points, which are evaluated point by point.
+    """
+
+    points: np.ndarray
+    axes: tuple | None = None
+
+    @classmethod
+    def product(cls, axes):
+        grids = np.meshgrid(*axes, indexing="ij")
+        return cls(np.stack([g.ravel() for g in grids], axis=-1), tuple(axes))
+
+
 def _tensor_multi(nodes, weights, fn, nout, chunk):
     n = len(nodes)
     sizes = [v.size for v in nodes]
@@ -648,14 +667,14 @@ def _tensor_multi(nodes, weights, fn, nout, chunk):
     out = np.zeros(nout)
     for i0 in range(0, sizes[0], per):
         sl = slice(i0, min(sizes[0], i0 + per))
-        grids = np.meshgrid(nodes[0][sl], *nodes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        grid = TensorGrid.product([nodes[0][sl], *nodes[1:]])
+        pts = grid.points
         wg = weights[0][sl].reshape((-1,) + (1,) * (n - 1))
         for a in range(1, n):
             shape = [1] * n
             shape[a] = sizes[a]
             wg = wg * weights[a].reshape(shape)
-        vals = fn(pts)
+        vals = fn(grid)
         bad = ~np.isfinite(vals).reshape(-1, pts.shape[0]).all(axis=0)
         if bad.any():
             raise QuadratureError(
@@ -708,18 +727,19 @@ def integrate_on_partition(integrand, partition, nout, *, edges, points,
                            chunk, node_budget, classes=None):
     """Two-level tensor Gauss-Legendre quadrature on every cell.
 
-    integrand(ci, cell) returns the cell's fn, mapping (P, n) points to
-    (nout, P) values; edges(ci, cell) returns its panel edges per axis in
-    unit coordinates, with points Gauss nodes per panel axis. The second
-    level halves every panel and the levels' difference is the error
-    bar. The node budget divides across cells, so very fine partitions
-    get coarse per-cell quadrature with correspondingly wider error
-    bars; chunk bounds the points per fn call. classes, one key per
-    cell, lets the cells of a class share the quadrature of its first
-    cell; a None key, or classes None, integrates the cell on its own.
-    A non-finite fn value raises QuadratureError. Returns (values,
-    errors, QuadratureCounts), values and errors of shape (cells, nout)
-    in row-major cell order.
+    integrand(ci, cell) returns the cell's fn, mapping a TensorGrid of P
+    points (a chunk of the cell's Gauss nodes, the first axis sliced) to
+    (nout, P) values in the order of grid.points; edges(ci, cell) returns
+    its panel edges per axis in unit coordinates, with points Gauss nodes
+    per panel axis. The second level halves every panel and the levels'
+    difference is the error bar. The node budget divides across cells,
+    so very fine partitions get coarse per-cell quadrature with
+    correspondingly wider error bars; chunk bounds the points per fn
+    call. classes, one key per cell, lets the cells of a class share the
+    quadrature of its first cell; a None key, or classes None,
+    integrates the cell on its own. A non-finite fn value raises
+    QuadratureError. Returns (values, errors, QuadratureCounts), values
+    and errors of shape (cells, nout) in row-major cell order.
     """
     cells = list(partition.cells())
     node_cap = max(1_000, node_budget // max(len(cells), 1))

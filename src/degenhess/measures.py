@@ -19,7 +19,9 @@ from degenhess.fields import CubePartition
 from degenhess.invariants import ck, op_norm
 from degenhess.staircase import (
     StairConfig,
-    _cell_matrix,
+    _CellMatrix,
+    _MODULUS_PAIRS,
+    _SUP_C1_SAMPLES,
     _holder_radii,
     _holder_table,
     _is_vector,
@@ -190,10 +192,10 @@ def sobolev_seminorm(f, p, *, norm="frobenius", level=None, config=None):
     partition = CubePartition(f.box, int(level))
 
     def integrand(ci, cell):
-        matrix = _cell_matrix(f, partition, cell)
+        matrix = _CellMatrix(f, partition, cell)
 
-        def fn(pts):
-            M = matrix(pts)
+        def fn(grid):
+            M = matrix(grid)
             frob = np.sqrt((M * M).sum(axis=(1, 2)))
             return np.stack([frob**p, op_norm(M) ** p])
 
@@ -333,12 +335,12 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
         partition = CubePartition(box, int(level))
 
         def integrand(ci, cell):
-            cur = _cell_matrix(f_j, partition, cell)
-            prev = _cell_matrix(f_prev, partition, cell)
+            cur = _CellMatrix(f_j, partition, cell)
+            prev = _CellMatrix(f_prev, partition, cell)
 
-            def fn(pts):
-                dv = ck(cur(pts), k) - ck(prev(pts), k)
-                return (dv * _phi_values(phi, pts))[None, :]
+            def fn(grid):
+                dv = cur.ck(cur(grid), k) - prev.ck(prev(grid), k)
+                return (dv * _phi_values(phi, grid.points))[None, :]
 
             return fn
 
@@ -520,8 +522,8 @@ class HolderDistance:
         return self.total
 
 
-def holder_distance(f, g, alpha, pairs_per_radius=4000, seed=0,
-                    samples=8192, radii=None):
+def holder_distance(f, g, alpha, pairs_per_radius=_MODULUS_PAIRS, seed=0,
+                    samples=_SUP_C1_SAMPLES, radii=None):
     """Sampled Hoelder-scale distance between two fields on one box."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")

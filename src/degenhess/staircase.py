@@ -37,6 +37,7 @@ from degenhess.fields import (
     PartitionCapError,
     QuadratureCounts,
     ScalarFieldC2,
+    TensorGrid,
     _LayeredField,
     _domain_points,
     integrate_on_partition,
@@ -91,9 +92,10 @@ class StairConfig:
     (recorded on the schedule). mass_floor, relative to the stage's mass,
     skips near-flat cubes. seed pins every random draw. quad_points and
     node_budget set the stage quadrature. Fixed sizes are module
-    constants at their one use (_BASE_PANELS, _EVAL_CHUNK, _C0_SAMPLES,
-    _C2_SAMPLES, _SUP_CAP_POINTS, _BETA_PAIRS, _MODULUS_PAIRS) or the
-    callee's defaults (_bisect_delta's samples, tune_atom's budget).
+    constants at their use (_BASE_PANELS, _EVAL_CHUNK, _C0_SAMPLES,
+    _C2_SAMPLES, _SUP_CAP_POINTS, _BETA_PAIRS, _MODULUS_PAIRS,
+    _SUP_C1_SAMPLES) or the callee's defaults (_bisect_delta's samples,
+    tune_atom's budget).
     """
 
     tau: float | None = None
@@ -472,52 +474,60 @@ def _atoms_at_cell(field, partition, cell):
     return out
 
 
-def _atom_matrix(atom):
-    if isinstance(atom, VectorAtom):
-        return atom.jacobian_many
-    return lambda X: atom.value_grad_hess(X)[2]
-
-
-def _cell_matrix(field, partition, cell):
+class _CellMatrix:
     """The frozen matrix field on points strictly inside one cell.
 
-    Equal to _matrix_many there, without its global dispatch: the layers
-    are added in the order evaluate_many sums them, so the result is
-    bitwise the same. A nested layer contributes its covering atom only,
-    and nothing when that atom is zero; any other layer keeps its own
-    dispatch. A base whose matrix is constant by construction exposes it
-    as constant_matrix, which is broadcast instead of evaluating values
-    and gradients.
+    Called on a TensorGrid, it returns the (P, n, n) matrices at
+    grid.points. They equal _matrix_many there, without its global
+    dispatch: the layers are added in the order evaluate_many sums them,
+    so the result is bitwise the same. A nested layer contributes its
+    covering atom only, through the atom's matrix_on, and nothing when
+    that atom is zero; any other layer keeps its own dispatch. A base
+    whose matrix is constant by construction exposes it as
+    constant_matrix, which is broadcast instead of evaluating values and
+    gradients; when no layer contributes either, constant holds it.
     """
-    base = field.base
-    vector = _is_vector(field)
-    terms = []
-    for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
-        if nested:
-            if not atom.is_zero:
-                terms.append(_atom_matrix(atom))
-        elif vector:
-            terms.append(lambda X, layer=layer: layer.displacement_jacobian_many(X)[1])
-        else:
-            terms.append(lambda X, layer=layer: layer.value_grad_hess(X)[2])
-    const = getattr(base, "constant_matrix", None)
-    if const is not None:
-        def at_base(X):
-            return np.broadcast_to(const, (X.shape[0],) + const.shape)
-    elif vector:
-        def at_base(X):
-            return base.value_jac(X)[1]
-    else:
-        def at_base(X):
-            return base.value_grad_hess(X)[2]
 
-    def matrix(X):
-        M = at_base(X)
-        for term in terms:
-            M = M + term(X)
+    def __init__(self, field, partition, cell):
+        base = field.base
+        vector = _is_vector(field)
+        self.terms = []
+        for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
+            if nested:
+                if not atom.is_zero:
+                    self.terms.append(atom.matrix_on)
+            elif vector:
+                self.terms.append(
+                    lambda grid, layer=layer:
+                    layer.displacement_jacobian_many(grid.points)[1]
+                )
+            else:
+                self.terms.append(
+                    lambda grid, layer=layer: layer.value_grad_hess(grid.points)[2]
+                )
+        const = getattr(base, "constant_matrix", None)
+        self.constant = None if self.terms else const
+        if const is not None:
+            self.at_base = lambda grid: np.broadcast_to(
+                const, (grid.points.shape[0],) + const.shape
+            )
+        elif vector:
+            self.at_base = lambda grid: base.value_jac(grid.points)[1]
+        else:
+            self.at_base = lambda grid: base.value_grad_hess(grid.points)[2]
+
+    def __call__(self, grid):
+        M = self.at_base(grid)
+        for term in self.terms:
+            M = M + term(grid)
         return M
 
-    return matrix
+    def ck(self, M, k):
+        """C_k of M, this cell's matrices; a constant matrix's C_k is
+        computed once and repeated, which is bitwise the same."""
+        if self.constant is None:
+            return ck(M, k)
+        return np.full(M.shape[0], ck(self.constant[None], k)[0])
 
 
 # ------------------------------------------------------------ planning
@@ -949,21 +959,20 @@ def _stage_integrand(f_prev, partition, cell, atom, k, q):
     increment is zero.
     """
     expo = q / k
-    frozen = _cell_matrix(f_prev, partition, cell)
+    frozen = _CellMatrix(f_prev, partition, cell)
     if atom is None or atom.is_zero:
 
-        def fn(pts):
-            c = ck(frozen(pts), k)
+        def fn(grid):
+            c = frozen.ck(frozen(grid), k)
             cq = c**expo
             return np.stack([c, c, cq, cq, np.zeros_like(c)])
 
         return fn
-    increment = _atom_matrix(atom)
 
-    def fn(pts):
-        B = frozen(pts)
-        H = increment(pts)
-        ck_prev = ck(B, k)
+    def fn(grid):
+        B = frozen(grid)
+        H = atom.matrix_on(grid)
+        ck_prev = frozen.ck(B, k)
         ck_new = ck(B + H, k)
         return np.stack(
             [ck_prev, ck_new, ck_prev**expo, ck_new**expo, op_norm(H) ** q]
@@ -1189,8 +1198,9 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
             lo = np.array(cell.lo)
             edges = np.array(cell.box.edges)
             pts = lo + rng2.random((per_cell, n)) * edges
-            H = _atom_matrix(atom)(pts)
-            B = _cell_matrix(f_prev, partition, cell)(pts)
+            grid = TensorGrid(pts)
+            H = atom.matrix_on(grid)
+            B = _CellMatrix(f_prev, partition, cell)(grid)
             lhs = op_norm(H) ** q
             rhs = ck(B, k) ** (q / k) + tau**j
             margin = float((rhs - lhs).min())
@@ -1358,8 +1368,8 @@ def _base_seminorm_qq(field, q, config):
     partition = CubePartition(field.box, 8)
 
     def integrand(ci, cell):
-        matrix = _cell_matrix(field, partition, cell)
-        return lambda pts: (op_norm(matrix(pts)) ** q)[None]
+        matrix = _CellMatrix(field, partition, cell)
+        return lambda grid: (op_norm(matrix(grid)) ** q)[None]
 
     vals, errs, _ = _partition_integrals(
         field, partition, integrand, 1, config,
@@ -1368,8 +1378,10 @@ def _base_seminorm_qq(field, q, config):
     return float(vals.sum()), float(errs.sum())
 
 
-# point pairs per radius of the sampled Hoelder quotients of a run
+# point pairs per radius of the sampled Hoelder quotients of a run, and
+# random points of its sampled sup C^1 distance
 _MODULUS_PAIRS = 4000
+_SUP_C1_SAMPLES = 8192
 
 
 def _run_loop(f0, k, p, alpha, eps, J, config):
@@ -1473,7 +1485,7 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
         f, f0, alpha, radii, _MODULUS_PAIRS, config.seed + 29
     )
     quot = max(profile.values)
-    sup_val, sup_grad = _sup_c1_distance(f, f0, 8192, config.seed)
+    sup_val, sup_grad = _sup_c1_distance(f, f0, _SUP_C1_SAMPLES, config.seed)
     c1a = sup_val + sup_grad + quot
     c1a_pass = c1a <= eps
 

@@ -19,7 +19,7 @@ from degenhess.atom import (
     tune_atom,
     zero_atom,
 )
-from degenhess.fields import Box
+from degenhess.fields import Box, TensorGrid
 from degenhess.invariants import ck, op_norm
 
 GAMMA = 0.01
@@ -242,6 +242,76 @@ class TestEvaluation:
         za = zero_atom(Box.unit(2))
         g, grad, hess = za.value_grad_hess(np.random.default_rng(0).random((50, 2)))
         assert not g.any() and not grad.any() and not hess.any()
+
+
+def cube_grid(cube, sizes, seed):
+    """A tensor grid of seeded nodes per axis over the cube and a margin
+    outside it, so trains, ramps, collars and the zero band all show."""
+    rng = np.random.default_rng(seed)
+    axes = []
+    for lo, e, size in zip(cube.lo, cube.edges, sizes):
+        axes.append(np.sort(lo - 0.05 * e + 1.1 * e * rng.random(size)))
+    return TensorGrid.product(axes)
+
+
+def assert_grid_matches_points(atom, sizes, seed=0):
+    grid = cube_grid(atom.cube, sizes, seed)
+    got = atom.matrix_on(grid)
+    assert got.shape == (grid.points.shape[0],) + (atom.cube.n,) * 2
+    assert np.array_equal(got, atom.value_grad_hess(grid.points)[2])
+
+
+class TestGridEvaluation:
+    # matrix_on evaluates aligned atoms per axis and must be bitwise the
+    # pointwise Hessian; unequal per-axis sizes would also catch a swap of
+    # broadcast shapes
+    CUBE2 = Box((0.25, 0.5), (0.5, 0.75))
+
+    def test_aligned_on_each_axis_2d(self):
+        for A, axis in ((np.diag([1.0, 2.0]), 0), (np.diag([2.0, 1.0]), 1)):
+            atom = build_atom(A, self.CUBE2, 0.1, 2, 1.5)
+            assert atom.aligned_axis == axis
+            assert_grid_matches_points(atom, (300, 300), seed=axis)
+            assert_grid_matches_points(atom, (257, 131), seed=axis)
+
+    def test_aligned_3d_two_collar_axes(self):
+        # the cutoff's cross term couples the two collar axes
+        cube = Box((0.0, 0.5, 0.25), (0.5, 1.0, 0.5))
+        atom = build_atom(np.diag([0.5, 1.0, 2.0]), cube, 0.1, 3, 1.5)
+        assert atom.aligned_axis == 0
+        assert_grid_matches_points(atom, (97, 53, 41))
+
+    def test_certification_rows_with_k_below_n(self):
+        rows = [c for c in CERTIFICATION_SUITE if c.k < len(c.matrix)]
+        assert rows
+        for case in rows:
+            atom = build_atom(case.as_array(), Box.unit(3), case.eps0, case.k,
+                              case.p)
+            assert atom.aligned_axis is not None
+            assert_grid_matches_points(atom, (61, 89, 37))
+
+    def test_rotated_atom_takes_the_pointwise_path(self):
+        atom = build_atom(np.array([[1.2, -0.4], [-0.4, 0.8]]), self.CUBE2,
+                          0.1, 2, 1.0)
+        assert atom.aligned_axis is None
+        assert_grid_matches_points(atom, (120, 90))
+
+    def test_vector_atom(self):
+        th = 0.7
+        O = np.array([[math.cos(th), -math.sin(th)],
+                      [math.sin(th), math.cos(th)]])
+        va = build_vector_atom(O @ np.diag([1.0, 2.0]), self.CUBE2, 0.1, 2, 1.5)
+        assert va.atom.aligned_axis is not None
+        grid = cube_grid(self.CUBE2, (150, 110), 3)
+        assert np.array_equal(va.matrix_on(grid), va.jacobian_many(grid.points))
+
+    def test_scattered_points_and_zero_atoms(self):
+        atom = build_atom(np.eye(2), self.CUBE2, 0.1, 2, 1.0)
+        X = cube_grid(self.CUBE2, (40, 40), 4).points[::7]
+        assert np.array_equal(atom.matrix_on(TensorGrid(X)),
+                              atom.value_grad_hess(X)[2])
+        za = zero_atom(self.CUBE2)
+        assert not za.matrix_on(cube_grid(self.CUBE2, (30, 20), 5)).any()
 
 
 class TestCertify:

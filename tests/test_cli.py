@@ -195,6 +195,15 @@ class TestConfigGrammar:
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_python_built_config_gets_the_unit_box(self):
+        cfg = RunConfig(n=2, k=2, p=1.5, alpha=0.3, eps=0.1, J=1,
+                        base=BaseSpec("quadratic", {"matrix": [[1.0, 0.0],
+                                                               [0.0, 1.0]]}))
+        assert cfg.box_lo == (0.0, 0.0) and cfg.box_hi == (1.0, 1.0)
+        field = cfg.build_field()
+        assert field.box.lo == (0.0, 0.0) and field.box.hi == (1.0, 1.0)
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_stair_config_adapter(self):
         cfg = parse_config(_add("tau = 0.8\nseed = 12\n"
                                 "node_budget = 5000\nquad_points = 3"))

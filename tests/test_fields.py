@@ -29,6 +29,7 @@ from degenhess.fields import (
     QuadraticBase,
     ScalarFieldC2,
     SumBase,
+    TensorGrid,
     TrigBase,
     dump_grid,
     integrate_on_partition,
@@ -246,8 +247,8 @@ def test_refine_partition_cap_and_validation():
 
 
 def integrate(f, partition, edges=None, points=4, chunk=1 << 19):
-    """Values and error bars per cell of a scalar integrand, every cell
-    on the given unit-coordinate panel edges (one panel by default)."""
+    """Values and error bars per cell of a scalar integrand f(grid), every
+    cell on the given unit-coordinate panel edges (one panel by default)."""
     edges = [np.array([0.0, 1.0])] * partition.n if edges is None else edges
     vals, errs, counts = integrate_on_partition(
         lambda ci, cell: f, partition, 1,
@@ -260,9 +261,9 @@ def integrate(f, partition, edges=None, points=4, chunk=1 << 19):
 
 def test_quadrature_trivial_integrals():
     unit = CubePartition(Box.unit(2), 1)
-    value, err = integrate(lambda X: np.ones(X.shape[0]), unit)
+    value, err = integrate(lambda grid: np.ones(grid.points.shape[0]), unit)
     assert abs(value[0] - 1.0) <= 1e-14
-    value, err = integrate(lambda X: X[:, 0] * X[:, 1], unit)
+    value, err = integrate(lambda grid: grid.points[:, 0] * grid.points[:, 1], unit)
     assert abs(value[0] - 0.25) <= 1e-13
     assert err[0] <= 1e-13
 
@@ -273,7 +274,9 @@ def check_gauss_exactness(points):
     for d1, d2 in [(top, 0), (1, top - 1), (top, top)]:
         want = 1.0 / (d1 + 1) / (d2 + 1)
         value, err = integrate(
-            lambda X, d1=d1, d2=d2: X[:, 0] ** d1 * X[:, 1] ** d2,
+            lambda grid, d1=d1, d2=d2: (
+                grid.points[:, 0] ** d1 * grid.points[:, 1] ** d2
+            ),
             CubePartition(Box.unit(2), 1), points=points,
         )
         assert abs(value[0] - want) <= 1e-13
@@ -290,7 +293,7 @@ def test_gauss_exactness_through_degree_three_at_two_points():
 
 def test_partition_integral_matches_per_cube_closed_form():
     part = CubePartition(Box.unit(2), 4)
-    vals, _ = integrate(lambda X: X[:, 0], part)
+    vals, _ = integrate(lambda grid: grid.points[:, 0], part)
     assert vals.shape == (16,)
     for ci, cell in enumerate(part.cells()):
         want = 0.5 * (cell.hi[0] ** 2 - cell.lo[0] ** 2) * (cell.hi[1] - cell.lo[1])
@@ -304,12 +307,44 @@ def test_partition_integral_chunking_consistent():
     # call's weighted sum is added to the cell total, so the chunk sets the
     # summation order and the totals agree to rounding, not bitwise.
     part = CubePartition(Box.unit(2), 8)
-    f = lambda X: np.sin(3.0 * X[:, 0]) * X[:, 1] ** 2
+    f = lambda grid: np.sin(3.0 * grid.points[:, 0]) * grid.points[:, 1] ** 2
     edges = [np.linspace(0.0, 1.0, 7)] * 2
     big, big_err = integrate(f, part, edges, chunk=1 << 20)
     small, small_err = integrate(f, part, edges, chunk=128)
     np.testing.assert_allclose(small, big, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(small_err, big_err, rtol=0.0, atol=1e-16)
+
+
+def test_tensor_grid_points_in_ij_order():
+    axes = [np.array([0.1, 0.2, 0.3]), np.array([5.0, 6.0]),
+            np.array([-1.0, -2.0, -3.0, -4.0])]
+    grid = TensorGrid.product(axes)
+    want = [(a, b, c) for a in axes[0] for b in axes[1] for c in axes[2]]
+    assert np.array_equal(grid.points, np.array(want))
+    assert all(g is a for g, a in zip(grid.axes, axes))
+
+
+def test_integrand_sees_chunks_of_the_cell_tensor_grid():
+    # each call gets the first axis sliced to the chunk and the points of
+    # that slab; the slabs together are the cell's nodes in 'ij' order
+    part = CubePartition(Box.unit(2), 1)
+    edges = [np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3)]
+    seen = []
+
+    def f(grid):
+        seen.append(grid)
+        return np.ones(grid.points.shape[0])
+
+    integrate(f, part, edges, points=2, chunk=12)
+    for grid in seen:
+        assert np.array_equal(grid.points, TensorGrid.product(grid.axes).points)
+        assert grid.points.shape[0] <= 12
+    # level 0 has 6 x 4 nodes in chunks of 3 x 4, level 1 12 x 8 in 1 x 8
+    assert len(seen) == 2 + 12
+    for size0, size1, calls in ((6, 4, seen[:2]), (12, 8, seen[2:])):
+        x = np.concatenate([g.axes[0] for g in calls])
+        assert x.size == size0 and np.all(np.diff(x) > 0)
+        assert all(g.axes[1].size == size1 for g in calls)
 
 
 def test_richardson_estimate_brackets_error_on_kink():
@@ -318,7 +353,8 @@ def test_richardson_estimate_brackets_error_on_kink():
     # true quadrature error within a small factor
     want = 2.0 * (0.5**4) / 4.0
     value, err = integrate(
-        lambda X: np.abs(X[:, 0] - 0.5) ** 3, CubePartition(Box.unit(1), 1),
+        lambda grid: np.abs(grid.points[:, 0] - 0.5) ** 3,
+        CubePartition(Box.unit(1), 1),
         [np.array([0.0, 0.3, 1.0])],
     )
     assert err[0] > 0.0
@@ -326,9 +362,9 @@ def test_richardson_estimate_brackets_error_on_kink():
 
 
 def test_quadrature_rejects_non_finite_samples():
-    def bad(X):
-        out = np.ones(X.shape[0])
-        out[X[:, 0] > 0.9] = np.nan
+    def bad(grid):
+        out = np.ones(grid.points.shape[0])
+        out[grid.points[:, 0] > 0.9] = np.nan
         return out
 
     with pytest.raises(QuadratureError, match="non-finite"):
@@ -337,7 +373,7 @@ def test_quadrature_rejects_non_finite_samples():
 
 def test_one_dimensional_partition_quadrature():
     part = CubePartition(Box.unit(1), 5)
-    vals, _ = integrate(lambda X: X[:, 0] ** 3, part)
+    vals, _ = integrate(lambda grid: grid.points[:, 0] ** 3, part)
     assert abs(vals.sum() - 0.25) <= 1e-13
     assert vals.shape == (5,)
 

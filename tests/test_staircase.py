@@ -10,6 +10,7 @@ from degenhess.fields import (
     PartitionCapError,
     QuadratureError,
     ScalarFieldC2,
+    TensorGrid,
     _cell_nodes,
     make_base,
 )
@@ -38,8 +39,8 @@ from degenhess.staircase import (
     run_first_order,
     run_stage,
     _base_seminorm_qq,
+    _CellMatrix,
     _cell_class,
-    _cell_matrix,
     _layer_lookup,
     _matrix_many,
     _partition_integrals,
@@ -263,26 +264,28 @@ class TestStagePerturbationLayer:
             StagePerturbation(layer.partition, layer.atoms[:-1])
 
 
-def _cell_points(cell, rng):
-    # seeded interior points plus the 2-point Gauss nodes of 5 panels per axis
+def _cell_grids(cell, rng):
+    # seeded scattered interior points, and the tensor grid of the 2-point
+    # Gauss nodes of 5 panels per axis
     lo = np.array(cell.lo)
     hi = np.array(cell.hi)
     rand = lo + rng.uniform(0.01, 0.99, (64, lo.size)) * (hi - lo)
     nodes, _ = _cell_nodes(cell, [np.linspace(0.0, 1.0, 6)] * lo.size, 2)
-    grid = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
-    return np.concatenate([rand, grid])
+    return TensorGrid(rand), TensorGrid.product(nodes)
 
 
 def _check_cell_matrix(field, m):
-    """_cell_matrix equals _matrix_many on every cell of the m-partition;
-    returns whether some layer took its own dispatch (not nested)."""
+    """_CellMatrix equals _matrix_many on every cell of the m-partition,
+    on scattered points and on a tensor grid; returns whether some layer
+    took its own dispatch (not nested)."""
     partition = CubePartition(field.box, m)
     rng = np.random.default_rng(m)
     fallback = False
     for cell in partition.cells():
-        pts = _cell_points(cell, rng)
-        got = _cell_matrix(field, partition, cell)(pts)
-        assert np.array_equal(got, _matrix_many(field, pts)), cell.index
+        matrix = _CellMatrix(field, partition, cell)
+        for grid in _cell_grids(cell, rng):
+            got = matrix(grid)
+            assert np.array_equal(got, _matrix_many(field, grid.points)), cell.index
         fallback |= not all(
             nested for _, _, nested in _layer_lookup(field.layers, partition, cell)
         )
@@ -309,6 +312,36 @@ class TestCellMatrix:
         assert len(rec.field.layers) == 1
         assert not _check_cell_matrix(rec.field, rec.schedule.m_j)
         assert _check_cell_matrix(rec.field, 1)
+
+
+def test_constant_cell_matrix_takes_ck_once(quadratic_run):
+    # a cell that sees only the base's constant matrix computes C_k once,
+    # bitwise equal to C_k of every copy; a covering atom turns that off
+    th = 0.4
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    S3 = [[1.0, 0.2, 0.0], [0.2, 0.5, -0.3], [0.0, -0.3, 2.0]]
+    fields_ = [
+        ScalarFieldC2(make_base("quadratic", {"matrix": S3}, 3), Box.unit(3)),
+        unit_quadratic(),
+        VectorFieldC1(LinearMapBase(rot @ np.diag([1.0, 0.3])), UNIT_BOX),
+    ]
+    for field in fields_:
+        n = field.n
+        partition = CubePartition(field.box, 2)
+        for cell in partition.cells():
+            matrix = _CellMatrix(field, partition, cell)
+            assert matrix.constant is field.base.constant_matrix
+            nodes, _ = _cell_nodes(cell, [np.linspace(0.0, 1.0, 4)] * n, 2)
+            M = matrix(TensorGrid.product(nodes))
+            for k in range(1, n + 1):
+                assert np.array_equal(matrix.ck(M, k), ck(M, k))
+    rec = quadratic_run.stages[0]
+    partition = CubePartition(rec.field.box, rec.schedule.m_j)
+    for cell in partition.cells():
+        (_, atom, nested), = _layer_lookup(rec.field.layers, partition, cell)
+        assert nested
+        constant = _CellMatrix(rec.field, partition, cell).constant
+        assert (constant is None) == (not atom.is_zero)
 
 
 def _count_cell_quadratures(monkeypatch):
