@@ -264,10 +264,6 @@ class PerturbationAtom:
     aligned_axis: int | None
 
     @property
-    def support_box(self):
-        return self.cube
-
-    @property
     def is_zero(self):
         return self.amplitude == 0.0
 
@@ -1141,20 +1137,8 @@ class VectorAtom:
     atom: PerturbationAtom
 
     @property
-    def support_box(self):
-        return self.atom.cube
-
-    @property
     def is_zero(self):
         return self.atom.is_zero
-
-    def displacement_many(self, X):
-        _, grad, _ = self.atom.value_grad_hess(X)
-        return grad @ self.rotation.T
-
-    def jacobian_many(self, X):
-        _, _, hess = self.atom.value_grad_hess(X)
-        return self.rotation @ hess
 
     def displacement_jacobian(self, X):
         _, grad, hess = self.atom.value_grad_hess(X)

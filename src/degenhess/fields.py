@@ -3,8 +3,11 @@
 Fields are closed-form composites (base families plus perturbation layers),
 never grid interpolants: the staircase needs exact Hessians at cube centers
 and interpolation error would corrupt the oscillation-threshold logic. All
-evaluation is batched: X has shape (P, n) and evaluators return value (P,),
-gradient (P, n) and Hessian (P, n, n), the Hessian symmetric by construction.
+evaluation is batched through one method, jet_many(X): X has shape (P, n)
+and every base and layer returns its kind's parts with the matrix last,
+value (P,), gradient (P, n) and Hessian (P, n, n) for scalar fields, the
+Hessian symmetric by construction, or displacement (P, n) and Jacobian
+(P, n, n) for first-order maps.
 
 integrate_on_partition is the package's one partition quadrature engine:
 the stage certificates, the measures and the base seminorm all integrate
@@ -124,7 +127,7 @@ class AffineBase:
         self.n = self.linear.size
         self.constant_matrix = np.zeros((self.n, self.n))
 
-    def value_grad_hess(self, X):
+    def jet_many(self, X):
         X = _check_points(X, self.n)
         P = X.shape[0]
         val = X @ self.linear + self.constant
@@ -152,7 +155,7 @@ class QuadraticBase:
         )
         self.c = float(constant)
 
-    def value_grad_hess(self, X):
+    def jet_many(self, X):
         X = _check_points(X, self.n)
         P = X.shape[0]
         SX = X @ self.S
@@ -183,7 +186,7 @@ class PolynomialBase:
             return np.zeros_like(x)
         return x**e
 
-    def value_grad_hess(self, X):
+    def jet_many(self, X):
         X = _check_points(X, self.n)
         P, n = X.shape
         val = np.zeros(P)
@@ -234,7 +237,7 @@ class TrigBase:
             phases = np.zeros(self.W.shape[0])
         self.phases = np.asarray(phases, dtype=float).reshape(self.W.shape[0])
 
-    def value_grad_hess(self, X):
+    def jet_many(self, X):
         X = _check_points(X, self.n)
         arg = X @ self.W.T + self.phases
         s = np.sin(arg) * self.amps
@@ -256,7 +259,7 @@ class BumpBase:
             raise ValueError("width must be positive")
         self.height = float(height)
 
-    def value_grad_hess(self, X):
+    def jet_many(self, X):
         X = _check_points(X, self.n)
         d = X - self.center
         w2 = self.width**2
@@ -278,10 +281,10 @@ class SumBase:
             raise ValueError("sum parts disagree on dimension")
         self.parts = parts
 
-    def value_grad_hess(self, X):
-        val, grad, hess = self.parts[0].value_grad_hess(X)
+    def jet_many(self, X):
+        val, grad, hess = self.parts[0].jet_many(X)
         for p in self.parts[1:]:
-            v, g, h = p.value_grad_hess(X)
+            v, g, h = p.jet_many(X)
             val = val + v
             grad = grad + g
             hess = hess + h
@@ -296,9 +299,9 @@ class ProductBase:
         self.right = right
         self.n = left.n
 
-    def value_grad_hess(self, X):
-        fv, fg, fh = self.left.value_grad_hess(X)
-        gv, gg, gh = self.right.value_grad_hess(X)
+    def jet_many(self, X):
+        fv, fg, fh = self.left.jet_many(X)
+        gv, gg, gh = self.right.jet_many(X)
         val = fv * gv
         grad = fv[:, None] * gg + gv[:, None] * fg
         cross = np.einsum("pi,pj->pij", fg, gg)
@@ -400,12 +403,51 @@ def make_base(family, params, n):
 # ----------------------------------------------------------- the field
 
 
-class _LayeredField:
-    """base + ordered perturbation layers on a domain box.
+class _CellAtomLayer:
+    """One atom per partition cell, dispatched by cube lookup.
 
+    Atom supports are the closed partition cells, so every point belongs
+    to exactly one atom up to shared faces where all atoms vanish
+    identically; evaluation in flat cube order keeps the merge
+    deterministic. Subclasses give jet_many for their kind of atom.
+    """
+
+    def __init__(self, partition, atoms):
+        atoms = tuple(atoms)
+        if len(atoms) != partition.num_cells:
+            raise ValueError("need one atom per partition cell")
+        self.partition = partition
+        self.atoms = atoms
+
+    def _flat(self, X):
+        idx = self.partition.locate(X)
+        return np.ravel_multi_index(
+            tuple(idx[:, a] for a in range(self.partition.n)),
+            (self.partition.m,) * self.partition.n,
+        )
+
+    def _dispatch(self, X, shapes, evaluate):
+        X = np.asarray(X, dtype=float)
+        outs = tuple(np.zeros((X.shape[0],) + s) for s in shapes)
+        flat = self._flat(X)
+        for ci in np.unique(flat):
+            atom = self.atoms[ci]
+            if atom.is_zero:
+                continue
+            m = flat == ci
+            for out, part in zip(outs, evaluate(atom, X[m])):
+                out[m] = part
+        return outs
+
+
+class _LayeredField:
+    """base + ordered cell-atom layers on a domain box.
+
+    The base and every layer evaluate through jet_many(X), returning the
+    field kind's jet_parts parts with the matrix last. A layer is a
+    _CellAtomLayer whose partition lies inside the domain box.
     Immutable: with_layers returns a new field of the same kind, so a
     committed stage can never be mutated behind a certificate's back.
-    Layers that expose support_box must have it inside the domain box.
     """
 
     def __init__(self, base, box, layers=()):
@@ -415,8 +457,12 @@ class _LayeredField:
             raise ValueError("base and box disagree on dimension")
         layers = tuple(layers)
         for layer in layers:
-            sup = getattr(layer, "support_box", None)
-            if sup is not None and not sup.inside(box):
+            if not isinstance(layer, _CellAtomLayer):
+                raise TypeError(
+                    "a layer is one atom per partition cell, "
+                    f"not a {type(layer).__name__}"
+                )
+            if not layer.partition.box.inside(box):
                 raise ValueError("perturbation support leaks outside the box")
         self.layers = layers
 
@@ -427,22 +473,34 @@ class _LayeredField:
     def with_layers(self, new_layers):
         return type(self)(self.base, self.box, self.layers + tuple(new_layers))
 
-
-class ScalarFieldC2(_LayeredField):
-    """base + ordered perturbation layers on a domain box, scalar valued.
-
-    Each layer must support value_grad_hess(X).
-    """
+    def _jet(self, term, X):
+        parts = term.jet_many(X)
+        if len(parts) != self.jet_parts:
+            raise TypeError(
+                f"{type(term).__name__} gives {len(parts)} parts, "
+                f"a {type(self).__name__} needs {self.jet_parts}"
+            )
+        return parts
 
     def evaluate_many(self, X, check_domain=True):
+        """The base's parts at X plus each layer's, in layer order."""
         X = _domain_points(self.box, X, check_domain)
-        val, grad, hess = self.base.value_grad_hess(X)
+        parts = self._jet(self.base, X)
         for layer in self.layers:
-            v, g, h = layer.value_grad_hess(X)
-            val = val + v
-            grad = grad + g
-            hess = hess + h
-        return val, grad, hess
+            parts = tuple(a + b for a, b in zip(parts, self._jet(layer, X)))
+        return parts
+
+
+class ScalarFieldC2(_LayeredField):
+    """base + ordered cell-atom layers on a domain box, scalar valued.
+
+    The base and each layer's jet_many give value, gradient and Hessian.
+    """
+
+    jet_parts = 3
+    # bound in this class body too, so that method tracers that look it
+    # up in vars(ScalarFieldC2) find and wrap it (perfbench/tracer.py)
+    evaluate_many = _LayeredField.evaluate_many
 
     def evaluate(self, x):
         val, grad, hess = self.evaluate_many(np.asarray(x, dtype=float)[None, :])

@@ -11,11 +11,12 @@ oscillatory integrands resolvable at desk scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from degenhess.fields import CubePartition
+from degenhess.fields import CubePartition, _domain_points
 from degenhess.invariants import ck, op_norm
 from degenhess.staircase import (
     StairConfig,
@@ -70,9 +71,12 @@ class HessianMeasure:
         return float(np.prod(np.array(self.box.edges) / self.level))
 
     def density_at(self, x):
-        """Cube-averaged density at x: (mass/|Q|, error/|Q|)."""
-        part = CubePartition(self.box, self.level)
-        idx = part.locate(np.asarray(x, dtype=float)[None, :])[0]
+        """Cube-averaged density at x: (mass/|Q|, error/|Q|).
+
+        Raises DomainError for a point outside the box, NaN included.
+        """
+        X = _domain_points(self.box, x, True)
+        idx = CubePartition(self.box, self.level).locate(X)[0]
         flat = int(
             np.ravel_multi_index(tuple(idx), (self.level,) * self.box.n)
         )
@@ -125,6 +129,25 @@ def stage_measures(result):
     return tuple(out)
 
 
+def _level(level, *fields):
+    """The partition level of a measure of the fields.
+
+    None picks the finest committed stage partition, 4 without layers.
+    Otherwise the level must be a positive integer that divides or is a
+    multiple of every committed stage partition, so that no cube
+    boundary crosses an atom's train.
+    """
+    ms = [layer.partition.m for f in fields for layer in f.layers]
+    if level is None:
+        return max(ms, default=4)
+    if not isinstance(level, numbers.Integral) or level < 1:
+        raise ValueError("level must be a positive integer")
+    for m in ms:
+        if level % m != 0 and m % level != 0:
+            raise ValueError(f"level {level} incompatible with stage partition {m}")
+    return int(level)
+
+
 def ck_mass(f, k, level, *, config=None):
     """Per-cube quadrature of C_k of the field's matrix at a level grid.
 
@@ -132,22 +155,13 @@ def ck_mass(f, k, level, *, config=None):
     (one must divide the other) so cube boundaries never cross atom
     supports.
     """
-    if not isinstance(level, int) or level < 1:
-        raise ValueError("level must be a positive integer")
-    for layer in getattr(f, "layers", ()):
-        part = getattr(layer, "partition", None)
-        if part is None:
-            continue
-        if level % part.m != 0 and part.m % level != 0:
-            raise ValueError(
-                f"level {level} incompatible with stage partition {part.m}"
-            )
+    level = _level(level, f)
     config = config or StairConfig()
     partition = CubePartition(f.box, level)
     masses, _, errs, _ = field_invariant_integrals(
         f, partition, k, q=float(k), config=config
     )
-    return _measure(len(getattr(f, "layers", ())), level, f.box, masses, errs)
+    return _measure(len(f.layers), level, f.box, masses, errs)
 
 
 def mass_bound_check(result):
@@ -174,22 +188,15 @@ def sobolev_seminorm(f, p, *, norm="frobenius", level=None, config=None):
 
     M is the Hessian for scalar fields and the Jacobian for first-order
     maps. Frobenius is the default norm, operator is available for
-    comparison against operator-norm budgets.
+    comparison against operator-norm budgets. The level rule is
+    ck_mass's; without a level the finest stage partition is used.
     """
     if p < 1:
         raise ValueError("requires p >= 1")
     if norm not in ("frobenius", "operator"):
         raise ValueError("norm must be 'frobenius' or 'operator'")
     config = config or StairConfig()
-    if level is None:
-        ms = [
-            layer.partition.m
-            for layer in getattr(f, "layers", ())
-            if getattr(layer, "partition", None) is not None
-        ]
-        level = max(ms) if ms else 4
-
-    partition = CubePartition(f.box, int(level))
+    partition = CubePartition(f.box, _level(level, f))
 
     def integrand(ci, cell):
         matrix = _CellMatrix(f, partition, cell)
@@ -274,29 +281,24 @@ def _phi_sups(phi, box, seed=0, samples=4096):
     return float(np.abs(vals).max()), float(np.linalg.norm(grads, axis=1).max())
 
 
-def _extends(f_j, f_prev):
-    """True when f_j is f_prev plus further layers on the same base."""
-    if getattr(f_j, "base", None) is not getattr(f_prev, "base", None):
-        return False
-    prev = tuple(getattr(f_prev, "layers", ()))
-    cur = tuple(getattr(f_j, "layers", ()))
-    return len(cur) >= len(prev) and cur[: len(prev)] == prev
-
-
 def _extra_layers_zero(f_j, f_prev):
-    # the pairing gap vanishes identically only when the two fields are
-    # the same construction up to committed all-zero layers
+    # the pairing gap vanishes identically only when f_j is f_prev plus
+    # committed all-zero layers on the same base
     if f_j is f_prev:
         return True
-    if not _extends(f_j, f_prev):
-        return False
-    for layer in f_j.layers[len(f_prev.layers):]:
-        atoms = getattr(layer, "atoms", None)
-        if atoms is None:
-            return False
-        if any(not a.is_zero for a in atoms):
-            return False
-    return True
+    n = len(f_prev.layers)
+    return (
+        f_j.base is f_prev.base
+        and f_j.layers[:n] == f_prev.layers
+        and all(a.is_zero for layer in f_j.layers[n:] for a in layer.atoms)
+    )
+
+
+def _same_box_and_kind(f, g):
+    if f.box != g.box:
+        raise ValueError("fields live on different boxes")
+    if _is_vector(f) != _is_vector(g):
+        raise TypeError("cannot mix scalar and first-order fields")
 
 
 def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
@@ -310,19 +312,16 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
 
     j defaults to the committed layer count of f_j. A stalled stage
     reuses the previous field, so pass j explicitly when stepping
-    through a run's stages.
+    through a run's stages. The two fields must share box and kind; the
+    level rule is ck_mass's, against the stage partitions of both, and
+    without a level the finest of them is used.
     """
+    _same_box_and_kind(f_j, f_prev)
     if j is None:
-        j = len(getattr(f_j, "layers", ()))
+        j = len(f_j.layers)
         if j == 0:
             raise ValueError("stage index j not derivable, pass j=")
-    if level is None:
-        ms = [
-            layer.partition.m
-            for layer in getattr(f_j, "layers", ())
-            if getattr(layer, "partition", None) is not None
-        ]
-        level = max(ms) if ms else 4
+    level = _level(level, f_j, f_prev)
     config = config or StairConfig()
     box = f_j.box
     n = box.n
@@ -332,7 +331,7 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
         # stalled stage, the fields coincide bitwise
         gap, quad_error = 0.0, 0.0
     else:
-        partition = CubePartition(box, int(level))
+        partition = CubePartition(box, level)
 
         def integrand(ci, cell):
             cur = _CellMatrix(f_j, partition, cell)
@@ -348,7 +347,7 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
         gap = float(abs(vals[:, 0].sum()))
         quad_error = float(errs[:, 0].sum())
 
-    scale = max(box.edges) / int(level)
+    scale = max(box.edges) / level
     cal = math.sqrt(n) * scale * 2.0**j
     tau_term = sup_phi * tau**j
     diameter_term = cal * K * 2.0 ** (-j) * sup_grad
@@ -361,7 +360,7 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
         tau_term=tau_term,
         diameter_term=diameter_term,
         j=int(j),
-        level=int(level),
+        level=level,
     )
     if not out.passed:
         raise MeasureCheckError(
@@ -527,10 +526,7 @@ def holder_distance(f, g, alpha, pairs_per_radius=_MODULUS_PAIRS, seed=0,
     """Sampled Hoelder-scale distance between two fields on one box."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    if tuple(f.box.lo) != tuple(g.box.lo) or tuple(f.box.hi) != tuple(g.box.hi):
-        raise ValueError("fields live on different boxes")
-    if _is_vector(f) != _is_vector(g):
-        raise TypeError("cannot mix scalar and first-order fields")
+    _same_box_and_kind(f, g)
     radii = list(radii) if radii is not None else _holder_radii(f.box)
     sup_v, sup_g = _sup_c1_distance(f, g, samples, seed)
     quot = max(_holder_table(f, g, alpha, radii, pairs_per_radius, seed).values)

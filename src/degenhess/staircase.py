@@ -22,7 +22,6 @@ import numpy as np
 
 from degenhess.atom import (
     AtomTuningError,
-    PerturbationAtom,
     VectorAtom,
     certify_atom,
     predicted_contraction,
@@ -38,6 +37,7 @@ from degenhess.fields import (
     QuadratureCounts,
     ScalarFieldC2,
     TensorGrid,
+    _CellAtomLayer,
     _LayeredField,
     _domain_points,
     integrate_on_partition,
@@ -311,7 +311,7 @@ class LinearMapBase:
             raise ValueError("offset length must match the matrix")
         self.constant_matrix = self.matrix
 
-    def value_jac(self, X):
+    def jet_many(self, X):
         X = np.asarray(X, dtype=float)
         vals = X @ self.matrix.T + self.offset
         jacs = np.broadcast_to(self.matrix, (X.shape[0], self.n, self.n)).copy()
@@ -319,66 +319,18 @@ class LinearMapBase:
 
 
 class VectorFieldC1(_LayeredField):
-    """base + displacement layers; evaluates values and Jacobians.
+    """base + ordered cell-atom layers; a first-order map.
 
-    Each layer must support displacement_jacobian_many(X).
+    The base and each layer's jet_many give displacement and Jacobian.
     """
 
-    def evaluate_many(self, X, check_domain=True):
-        X = _domain_points(self.box, X, check_domain)
-        vals, jacs = self.base.value_jac(X)
-        for layer in self.layers:
-            v, g = layer.displacement_jacobian_many(X)
-            vals = vals + v
-            jacs = jacs + g
-        return vals, jacs
-
-
-class _CellAtomLayer:
-    """One atom per partition cell, dispatched by cube lookup.
-
-    Atom supports are the closed partition cells, so every point belongs
-    to exactly one atom up to shared faces where all atoms vanish
-    identically; evaluation in flat cube order keeps the merge
-    deterministic.
-    """
-
-    def __init__(self, partition, atoms):
-        atoms = tuple(atoms)
-        if len(atoms) != partition.num_cells:
-            raise ValueError("need one atom per partition cell")
-        self.partition = partition
-        self.atoms = atoms
-
-    @property
-    def support_box(self):
-        return self.partition.box
-
-    def _flat(self, X):
-        idx = self.partition.locate(X)
-        return np.ravel_multi_index(
-            tuple(idx[:, a] for a in range(self.partition.n)),
-            (self.partition.m,) * self.partition.n,
-        )
-
-    def _dispatch(self, X, shapes, evaluate):
-        X = np.asarray(X, dtype=float)
-        outs = tuple(np.zeros((X.shape[0],) + s) for s in shapes)
-        flat = self._flat(X)
-        for ci in np.unique(flat):
-            atom = self.atoms[ci]
-            if atom.is_zero:
-                continue
-            m = flat == ci
-            for out, part in zip(outs, evaluate(atom, X[m])):
-                out[m] = part
-        return outs
+    jet_parts = 2
 
 
 class StagePerturbation(_CellAtomLayer):
     """Sum of per-cube scalar atoms."""
 
-    def value_grad_hess(self, X):
+    def jet_many(self, X):
         n = self.partition.n
         return self._dispatch(
             X, ((), (n,), (n, n)), lambda atom, Y: atom.value_grad_hess(Y)
@@ -388,7 +340,7 @@ class StagePerturbation(_CellAtomLayer):
 class VectorStagePerturbation(_CellAtomLayer):
     """Per-cube vector atoms with the same dispatch-and-merge contract."""
 
-    def displacement_jacobian_many(self, X):
+    def jet_many(self, X):
         n = self.partition.n
         return self._dispatch(
             X, ((n,), (n, n)), lambda atom, Y: atom.displacement_jacobian(Y)
@@ -412,42 +364,31 @@ def _geometry_atom(atom):
 
 
 def _layer_atoms(field):
-    out = []
-    for layer in field.layers:
-        atoms = getattr(layer, "atoms", None)
-        if atoms is not None:
-            out.extend(_geometry_atom(a) for a in atoms if not a.is_zero)
-        elif isinstance(layer, PerturbationAtom) and not layer.is_zero:
-            out.append(layer)
-    return out
+    return [
+        _geometry_atom(a)
+        for layer in field.layers for a in layer.atoms if not a.is_zero
+    ]
 
 
 def _layer_lookup(layers, partition, cell):
     """Per layer, what covers one cell of the partition.
 
     Yields (layer, atom, nested). atom is the layer's atom at the cell
-    center, None when no atom of the layer is there. nested says that the
-    cell lies inside that atom's cell of the layer partition. It is decided
-    from the partition sizes, not by a float test, so on the interior of
-    the cell the atom alone is the layer.
+    center. nested says that the cell lies inside that atom's cell of the
+    layer partition. It is decided from the partition sizes, not by a
+    float test, so on the interior of the cell the atom alone is the
+    layer.
     """
     center = np.asarray(cell.center)[None, :]
     for layer in layers:
-        part = getattr(layer, "partition", None)
-        atoms = getattr(layer, "atoms", None)
-        if part is not None and atoms is not None:
-            nested = part.box == partition.box and partition.m % part.m == 0
-            if nested:
-                idx = tuple(i // (partition.m // part.m) for i in cell.index)
-            else:
-                idx = tuple(part.locate(center)[0])
-            flat = int(np.ravel_multi_index(idx, (part.m,) * part.n))
-            yield layer, atoms[flat], nested
-        elif isinstance(layer, PerturbationAtom):
-            inside = bool(layer.cube.contains(center)[0])
-            yield layer, layer if inside else None, False
+        part = layer.partition
+        nested = part.box == partition.box and partition.m % part.m == 0
+        if nested:
+            idx = tuple(i // (partition.m // part.m) for i in cell.index)
         else:
-            yield layer, None, False
+            idx = tuple(part.locate(center)[0])
+        flat = int(np.ravel_multi_index(idx, (part.m,) * part.n))
+        yield layer, layer.atoms[flat], nested
 
 
 def _atoms_at_cell(field, partition, cell):
@@ -461,16 +402,14 @@ def _atoms_at_cell(field, partition, cell):
     out = []
     for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
         atoms = [atom]
-        if not nested and hasattr(layer, "partition"):
+        if not nested:
             centers = layer.partition.centers()
             inside = ((centers > lo) & (centers < hi)).all(axis=1)
             atoms += [
                 layer.atoms[i] for i in np.flatnonzero(inside)
                 if layer.atoms[i] is not atom
             ]
-        out.extend(
-            _geometry_atom(a) for a in atoms if a is not None and not a.is_zero
-        )
+        out.extend(_geometry_atom(a) for a in atoms if not a.is_zero)
     return out
 
 
@@ -490,31 +429,22 @@ class _CellMatrix:
 
     def __init__(self, field, partition, cell):
         base = field.base
-        vector = _is_vector(field)
         self.terms = []
         for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
-            if nested:
-                if not atom.is_zero:
-                    self.terms.append(atom.matrix_on)
-            elif vector:
+            if not nested:
                 self.terms.append(
-                    lambda grid, layer=layer:
-                    layer.displacement_jacobian_many(grid.points)[1]
+                    lambda grid, layer=layer: layer.jet_many(grid.points)[-1]
                 )
-            else:
-                self.terms.append(
-                    lambda grid, layer=layer: layer.value_grad_hess(grid.points)[2]
-                )
+            elif not atom.is_zero:
+                self.terms.append(atom.matrix_on)
         const = getattr(base, "constant_matrix", None)
         self.constant = None if self.terms else const
         if const is not None:
             self.at_base = lambda grid: np.broadcast_to(
                 const, (grid.points.shape[0],) + const.shape
             )
-        elif vector:
-            self.at_base = lambda grid: base.value_jac(grid.points)[1]
         else:
-            self.at_base = lambda grid: base.value_grad_hess(grid.points)[2]
+            self.at_base = lambda grid: base.jet_many(grid.points)[-1]
 
     def __call__(self, grid):
         M = self.at_base(grid)
@@ -1173,14 +1103,13 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
         pts = np.array(box.lo) + rngg.random((_C0_SAMPLES, n)) * np.array(
             box.edges
         )
-        if vector:
-            d, _ = layer.displacement_jacobian_many(pts)
-            sup_c1 = max(sup_c1, float(np.linalg.norm(d, axis=1).max()))
-        else:
-            v, g, _ = layer.value_grad_hess(pts)
-            sup_c1 = max(
-                sup_c1, float((np.abs(v) + np.linalg.norm(g, axis=1)).max())
-            )
+        # pointwise size: the sum of the norms of the parts before the
+        # matrix, |g| + |grad g| or |h|
+        size = sum(
+            np.linalg.norm(part.reshape(_C0_SAMPLES, -1), axis=1)
+            for part in layer.jet_many(pts)[:-1]
+        )
+        sup_c1 = max(sup_c1, float(size.max()))
     pass_c0 = sup_c1 <= eps_j * (1.0 + 1e-12)
 
     # cprop2: literal pointwise check of the increment's matrix norm
@@ -1281,7 +1210,6 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
     skip = set(floor_skips) | set(osc_skips)
     if schedule.stalled:
         atoms_pass = True
-        certs = certs or []
     else:
         atoms_pass = all(
             c.passed for ci, c in enumerate(certs) if ci not in skip

@@ -303,7 +303,8 @@ class TestGridEvaluation:
         va = build_vector_atom(O @ np.diag([1.0, 2.0]), self.CUBE2, 0.1, 2, 1.5)
         assert va.atom.aligned_axis is not None
         grid = cube_grid(self.CUBE2, (150, 110), 3)
-        assert np.array_equal(va.matrix_on(grid), va.jacobian_many(grid.points))
+        assert np.array_equal(va.matrix_on(grid),
+                              va.displacement_jacobian(grid.points)[1])
 
     def test_scattered_points_and_zero_atoms(self):
         atom = build_atom(np.eye(2), self.CUBE2, 0.1, 2, 1.0)
@@ -435,7 +436,7 @@ class TestVector:
         va = build_vector_atom(B, Box.unit(2), 0.1, 2, 1.5)
         assert np.allclose(va.base_symmetric, A, atol=1e-12)
         X = np.random.default_rng(3).random((1000, 2))
-        J = va.jacobian_many(X)
+        _, J = va.displacement_jacobian(X)
         _, _, H = va.atom.value_grad_hess(X)
         lhs = ck(B[None] + J, 2)
         rhs = ck(A[None] + H, 2)
@@ -452,8 +453,9 @@ class TestVector:
         va = build_vector_atom(np.zeros((2, 2)), Box.unit(2), 0.1, 2, 1.0)
         assert va.is_zero
         X = np.random.default_rng(0).random((10, 2))
-        assert not va.displacement_many(X).any()
-        assert not va.jacobian_many(X).any()
+        d, J = va.displacement_jacobian(X)
+        assert not d.any()
+        assert not J.any()
 
     def test_displacement_matches_rotated_gradient(self):
         A = np.diag([1.0, 2.0])

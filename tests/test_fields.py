@@ -37,21 +37,26 @@ from degenhess.fields import (
     modulus_of_continuity,
     refine_partition,
 )
+from degenhess.atom import VectorAtom, zero_atom
 from degenhess.fields import _grid_neighbor_pairs, _sample_pairs_in_box
-from degenhess.staircase import LinearMapBase, VectorFieldC1
+from degenhess.staircase import (
+    LinearMapBase,
+    VectorFieldC1,
+    VectorStagePerturbation,
+)
 
 # ---------------------------------------------------------------- oracle
 
 
 def fd_check(obj, X, h=1e-5, tol=1e-5):
     """Central finite differences against analytic gradient and Hessian."""
-    val, grad, hess = obj.value_grad_hess(X)
+    val, grad, hess = obj.jet_many(X)
     n = X.shape[1]
     for a in range(n):
         step = np.zeros(n)
         step[a] = h
-        vp, gp, _ = obj.value_grad_hess(X + step)
-        vm, gm, _ = obj.value_grad_hess(X - step)
+        vp, gp, _ = obj.jet_many(X + step)
+        vm, gm, _ = obj.jet_many(X - step)
         fd_grad = (vp - vm) / (2 * h)
         scale = 1.0 + np.abs(grad[:, a]).max()
         assert np.abs(fd_grad - grad[:, a]).max() <= tol * scale
@@ -134,6 +139,25 @@ def test_field_domain_check():
         f.evaluate(np.array([1.5, 0.5]))
     # boundary is fine
     f.evaluate(np.array([1.0, 1.0]))
+
+
+def test_field_layer_must_be_a_cell_atom_layer():
+    atom = zero_atom(Box.unit(2))
+    with pytest.raises(TypeError, match="one atom per partition cell"):
+        ScalarFieldC2(QuadraticBase(np.eye(2)), Box.unit(2), [atom])
+
+
+def test_field_rejects_parts_of_the_other_kind():
+    X = np.array([[0.2, 0.7]])
+    with pytest.raises(TypeError, match="needs 3"):
+        ScalarFieldC2(LinearMapBase(np.eye(2)), Box.unit(2)).evaluate_many(X)
+    with pytest.raises(TypeError, match="needs 2"):
+        VectorFieldC1(QuadraticBase(np.eye(2)), Box.unit(2)).evaluate_many(X)
+    atom = VectorAtom(np.eye(2), np.zeros((2, 2)), zero_atom(Box.unit(2)))
+    layer = VectorStagePerturbation(CubePartition(Box.unit(2), 1), [atom])
+    f = ScalarFieldC2(QuadraticBase(np.eye(2)), Box.unit(2), [layer])
+    with pytest.raises(TypeError, match="needs 3"):
+        f.evaluate_many(X)
 
 
 def test_field_difference():

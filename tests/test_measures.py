@@ -19,7 +19,7 @@ from degenhess import (
     test_function_family as probe_family,
     weakstar_gap,
 )
-from degenhess.fields import make_base
+from degenhess.fields import DomainError, make_base
 from degenhess.measures import MeasureCheckError, _measure
 
 BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -116,6 +116,24 @@ class TestCkMass:
         with pytest.raises(ValueError, match="incompatible"):
             ck_mass(f1, 2, 3)
 
+    def test_one_level_rule_for_every_measure(self, quadratic_run,
+                                              quadratic_field):
+        # sobolev_seminorm and weakstar_gap validate a level as ck_mass
+        # does, against the stage partitions of every field they read
+        f0, f1 = quadratic_run.base, quadratic_run.stages[0].field
+        phi = dict(probe_family(2))["1"]
+        for level in (2.7, 0, -4):
+            with pytest.raises(ValueError, match="positive integer"):
+                sobolev_seminorm(quadratic_field, 2.0, level=level)
+            with pytest.raises(ValueError, match="positive integer"):
+                weakstar_gap(f1, f0, phi, 0.9, 1.0, k=2, j=1, level=level)
+        with pytest.raises(ValueError, match="incompatible"):
+            sobolev_seminorm(f1, 2.0, level=3)
+        with pytest.raises(ValueError, match="incompatible"):
+            weakstar_gap(f1, f0, phi, 0.9, 1.0, k=2, j=1, level=3)
+        with pytest.raises(ValueError, match="incompatible"):
+            weakstar_gap(f0, f1, phi, 0.9, 1.0, k=2, j=1, level=3)
+
     def test_finer_level_consistent(self, quadratic_run, quadratic_masses):
         f1 = quadratic_run.stages[0].field
         meas = ck_mass(f1, 2, 8, config=StairConfig(node_budget=2_000_000))
@@ -173,6 +191,17 @@ class TestStageMeasures:
         assert val == float(meas.masses[0]) / meas.cell_volume
         assert err >= 0.0
 
+    def test_density_at_rejects_points_outside_the_box(self):
+        meas = _measure(0, 2, BOX, np.ones(4), np.zeros(4))
+        assert meas.density_at((0.75, 0.25)) == (4.0, 0.0)
+        with pytest.raises(DomainError):
+            meas.density_at((5.0, 5.0))
+
+    def test_density_at_rejects_nan(self):
+        meas = _measure(0, 2, BOX, np.ones(4), np.zeros(4))
+        with pytest.raises(DomainError):
+            meas.density_at((math.nan, 0.5))
+
     def test_mass_bound_rows(self, quadratic_run):
         rows = mass_bound_check(quadratic_run)
         assert len(rows) == 5
@@ -198,6 +227,8 @@ class TestWeakstarGap:
         assert got.gap == 0.0
         assert got.bound == 0.0
         assert got.passed
+        # without a level, the finest stage partition
+        assert got.level == f1.layers[0].partition.m
 
     def test_unit_phi_within_tau(self, quadratic_run):
         fam = dict(probe_family(2))
@@ -252,6 +283,21 @@ class TestWeakstarGap:
         fam = dict(probe_family(2))
         with pytest.raises(ValueError, match="pass j="):
             weakstar_gap(quadratic_field, quadratic_field, fam["1"], 0.9, 1.0, k=2)
+
+    def test_box_mismatch_rejected(self, quadratic_field):
+        other = ScalarFieldC2(
+            make_base("quadratic", {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, 2),
+            Box((0.0, 0.0), (2.0, 2.0)),
+        )
+        phi = dict(probe_family(2))["1"]
+        with pytest.raises(ValueError, match="different boxes"):
+            weakstar_gap(other, quadratic_field, phi, 0.9, 1.0, k=2, j=1)
+
+    def test_mixed_kinds_rejected(self, quadratic_field):
+        u = VectorFieldC1(LinearMapBase(np.eye(2)), BOX)
+        phi = dict(probe_family(2))["1"]
+        with pytest.raises(TypeError, match="mix"):
+            weakstar_gap(quadratic_field, u, phi, 0.9, 1.0, k=2, j=1)
 
     def test_violation_raises(self, quadratic_field):
         doubled = scalar("quadratic", {"matrix": [[2.0, 0.0], [0.0, 2.0]]})

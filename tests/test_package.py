@@ -5,8 +5,18 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import degenhess
 from degenhess.config import _ALL_KEYS
+from degenhess.fields import Box, QuadraticBase, ScalarFieldC2
+from degenhess.staircase import (
+    LinearMapBase,
+    StairConfig,
+    VectorFieldC1,
+    run_construction,
+    run_first_order,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,13 +51,18 @@ def test_readme_key_table_matches_grammar():
     assert keys == set(_ALL_KEYS)
 
 
-def test_tracer_targets_resolve():
-    # perfbench/tracer.py wraps these names by string; a refactor that
-    # drops or moves one must fail here, not in a traced benchmark run
-    # (compiled from its source, so no bytecode cache is written there)
+def load_tracer():
+    # compiled from its source, so no bytecode cache is written there
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     tracer = {"__name__": "perfbench_tracer"}
     exec(compile(path.read_text(), str(path), "exec"), tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names by string; a refactor that
+    # drops or moves one must fail here, not in a traced benchmark run
+    tracer = load_tracer()
     assert tracer["TARGETS"]
     for module_name, attr, _, _ in tracer["TARGETS"]:
         module = importlib.import_module("degenhess." + module_name)
@@ -56,3 +71,51 @@ def test_tracer_targets_resolve():
             assert method in vars(getattr(module, cls_name)), attr
         else:
             assert callable(getattr(module, attr, None)), attr
+
+
+TRACED_EVALUATORS = (
+    ("fields", "ScalarFieldC2", "evaluate_many"),
+    ("atom", "PerturbationAtom", "value_grad_hess"),
+    ("atom", "VectorAtom", "displacement_jacobian"),
+)
+
+
+def test_traced_evaluators_are_the_ones_called():
+    # the tracer counts points by wrapping these methods on their
+    # classes; a field or layer that stops calling them would leave the
+    # benchmark's per-layer counts silently at zero
+    methods = [
+        (getattr(importlib.import_module("degenhess." + mod), cls), meth)
+        for mod, cls, meth in TRACED_EVALUATORS
+    ]
+    originals = [vars(cls)[meth] for cls, meth in methods]
+    box = Box.unit(2)
+    D = np.diag([0.7, 1.8])
+    cfg = StairConfig(seed=11, tau=0.9, quad_points=2, node_budget=200_000)
+    X = np.random.default_rng(5).uniform(0.01, 0.99, (500, 2))
+    field_points = "fields.ScalarFieldC2.evaluate_many.points"
+    tracer = load_tracer()["Tracer"]()
+    with tracer.installed():
+        scalar = run_construction(
+            ScalarFieldC2(QuadraticBase(D), box), 2, 1.5, 0.3, 0.3, 1, config=cfg
+        )
+        vector = run_first_order(
+            VectorFieldC1(LinearMapBase(D), box), 2, 1.1, 0.3, 0.3, 1, config=cfg
+        )
+        for mod, cls, meth in TRACED_EVALUATORS:
+            assert tracer.counts[f"{mod}.{cls}.{meth}.points"] > 0, meth
+        # each stage layer reaches its atoms through the traced method, one
+        # point for every point in a cell with a live atom
+        for result, name in (
+            (scalar, "atom.PerturbationAtom.value_grad_hess.points"),
+            (vector, "atom.VectorAtom.displacement_jacobian.points"),
+        ):
+            layer, = result.field.layers
+            live = sum(not layer.atoms[ci].is_zero for ci in layer._flat(X))
+            assert live > 0
+            before = dict(tracer.counts)
+            result.field.evaluate_many(X)
+            assert tracer.counts[name] - before[name] == live, name
+            evaluated = tracer.counts[field_points] - before[field_points]
+            assert evaluated == (len(X) if result is scalar else 0)
+    assert [vars(cls)[meth] for cls, meth in methods] == originals

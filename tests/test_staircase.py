@@ -237,7 +237,7 @@ class TestStagePerturbationLayer:
         assert isinstance(layer, StagePerturbation)
         rng = np.random.default_rng(4)
         pts = rng.uniform(0.05, 0.95, (64, 2))
-        v, g, h = layer.value_grad_hess(pts)
+        v, g, h = layer.jet_many(pts)
         flat = layer._flat(pts)
         for ci in np.unique(flat):
             m = flat == ci
@@ -250,11 +250,11 @@ class TestStagePerturbationLayer:
         t = np.linspace(0.0, 1.0, 41)
         for plane in (0.25, 0.5, 0.75):
             pts = np.stack([np.full_like(t, plane), t], axis=-1)
-            v, g, h = layer.value_grad_hess(pts)
+            v, g, h = layer.jet_many(pts)
             assert np.abs(v).max() == 0.0
             assert np.abs(g).max() == 0.0
             pts = np.stack([t, np.full_like(t, plane)], axis=-1)
-            v, g, h = layer.value_grad_hess(pts)
+            v, g, h = layer.jet_many(pts)
             assert np.abs(v).max() == 0.0
             assert np.abs(g).max() == 0.0
 
@@ -487,7 +487,7 @@ class _NanStripBase:
 
     n = 2
 
-    def value_grad_hess(self, X):
+    def jet_many(self, X):
         hess = np.broadcast_to(np.eye(2), (X.shape[0], 2, 2)).copy()
         hess[X[:, 0] > 0.9] = np.nan
         return 0.5 * (X * X).sum(axis=1), X.copy(), hess
@@ -578,7 +578,7 @@ class TestFirstOrderRun:
         layer = identity_first_order_run.field.layers[0]
         t = np.linspace(0.0, 1.0, 31)
         pts = np.stack([np.full_like(t, 0.5), t], axis=-1)
-        d, jac = layer.displacement_jacobian_many(pts)
+        d, jac = layer.jet_many(pts)
         assert np.abs(d).max() == 0.0
         assert np.abs(jac).max() == 0.0
 
