@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fields import Box, _gauss01
+from .fields import Box, TensorGrid, _gauss01
 from .invariants import ck, op_norm, polar_decompose, sym_eigen
 
 
@@ -458,16 +458,14 @@ def _probe_grid(atom):
                 )
                 v = np.unique(np.concatenate([v, 1.0 - v]))
                 axis_vals.append(lo[a] + edges[a] * v)
-        grids = np.meshgrid(*axis_vals, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return TensorGrid.product(axis_vals).points
     rng = np.random.default_rng(12345)
     X = lo + rng.random((4096, n)) * edges
     frac = np.array(
         [gc / 4, gc / 2, 0.625 * gc, 0.75 * gc, 0.875 * gc, gc, 0.3, 0.5, 0.7]
     )
     per_axis = np.unique(np.concatenate([frac, 1.0 - frac]))
-    grids = np.meshgrid(*[lo[a] + edges[a] * per_axis for a in range(n)], indexing="ij")
-    Xs = np.stack([g.ravel() for g in grids], axis=-1)
+    Xs = TensorGrid.product([lo[a] + edges[a] * per_axis for a in range(n)]).points
     T = float(np.abs(e) @ edges)
     delta = T / periods
     t_targets = -T / 2.0 + delta * ((periods // 2) + phases)
@@ -481,12 +479,7 @@ def _probe_grid(atom):
         rest = [x for x in range(n) if x != a]
         for va in ramp:
             xa = lo[a] + edges[a] * va
-            if n == 2:
-                combos = others[:, None]
-            else:
-                combos = np.stack(
-                    np.meshgrid(*[others] * (n - 1), indexing="ij"), axis=-1
-                ).reshape(-1, n - 1)
+            combos = TensorGrid.product([others] * (n - 1)).points
             for row in combos:
                 base = np.empty(n)
                 base[a] = xa

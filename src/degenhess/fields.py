@@ -79,18 +79,12 @@ class Box:
     def volume(self):
         return float(math.prod(self.edges))
 
-    def contains(self, X, tol=1e-9):
+    def contains(self, X):
+        """True where a point lies in the box, up to 1e-9 per axis."""
         X = np.asarray(X, dtype=float)
-        lo = np.array(self.lo) - tol
-        hi = np.array(self.hi) + tol
+        lo = np.array(self.lo) - 1e-9
+        hi = np.array(self.hi) + 1e-9
         return ((X >= lo) & (X <= hi)).all(axis=-1)
-
-    def inside(self, other, tol=1e-9):
-        """True if self sits inside the other box."""
-        return all(
-            sl >= ol - tol and sh <= oh + tol
-            for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
-        )
 
 
 # -------------------------------------------------------- base families
@@ -271,45 +265,6 @@ class BumpBase:
         return val, grad, hess
 
 
-class SumBase:
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("sum needs at least one part")
-        self.n = parts[0].n
-        if any(p.n != self.n for p in parts):
-            raise ValueError("sum parts disagree on dimension")
-        self.parts = parts
-
-    def jet_many(self, X):
-        val, grad, hess = self.parts[0].jet_many(X)
-        for p in self.parts[1:]:
-            v, g, h = p.jet_many(X)
-            val = val + v
-            grad = grad + g
-            hess = hess + h
-        return val, grad, hess
-
-
-class ProductBase:
-    def __init__(self, left, right):
-        if left.n != right.n:
-            raise ValueError("product parts disagree on dimension")
-        self.left = left
-        self.right = right
-        self.n = left.n
-
-    def jet_many(self, X):
-        fv, fg, fh = self.left.jet_many(X)
-        gv, gg, gh = self.right.jet_many(X)
-        val = fv * gv
-        grad = fv[:, None] * gg + gv[:, None] * fg
-        cross = np.einsum("pi,pj->pij", fg, gg)
-        cross = cross + np.swapaxes(cross, -1, -2)
-        hess = (fv[:, None, None] * gh + gv[:, None, None] * fh) + cross
-        return val, grad, hess
-
-
 _FAMILIES = {}
 
 
@@ -353,16 +308,13 @@ def _make_polynomial(params, n):
         raise ValueError("polynomial base needs 'terms'")
     rows = []
     for term in terms:
+        # flat row: n exponents followed by the coefficient
         term = list(term)
-        if len(term) == 2 and np.ndim(term[0]) >= 1:
-            rows.append((term[0], term[1]))
-        elif len(term) == int(n) + 1:
-            # flat row: n exponents followed by the coefficient
-            rows.append((term[:-1], term[-1]))
-        else:
+        if len(term) != n + 1:
             raise ValueError(
                 f"polynomial term needs {n} exponents plus a coefficient"
             )
+        rows.append((term[:-1], term[-1]))
     return PolynomialBase(rows, n)
 
 
@@ -445,7 +397,7 @@ class _LayeredField:
 
     The base and every layer evaluate through jet_many(X), returning the
     field kind's jet_parts parts with the matrix last. A layer is a
-    _CellAtomLayer whose partition lies inside the domain box.
+    _CellAtomLayer whose partition tiles the domain box.
     Immutable: with_layers returns a new field of the same kind, so a
     committed stage can never be mutated behind a certificate's back.
     """
@@ -462,8 +414,8 @@ class _LayeredField:
                     "a layer is one atom per partition cell, "
                     f"not a {type(layer).__name__}"
                 )
-            if not layer.partition.box.inside(box):
-                raise ValueError("perturbation support leaks outside the box")
+            if layer.partition.box != box:
+                raise ValueError("a layer's partition must tile the field's box")
         self.layers = layers
 
     @property
@@ -542,10 +494,6 @@ class Cell:
         return tuple(0.5 * (l + h) for l, h in zip(self.lo, self.hi))
 
     @property
-    def volume(self):
-        return float(math.prod(h - l for l, h in zip(self.lo, self.hi)))
-
-    @property
     def box(self):
         return Box(self.lo, self.hi)
 
@@ -604,8 +552,7 @@ class CubePartition:
             np.asarray(self.box.lo[a]) + (np.arange(self.m) + 0.5) * self.cell_edges[a]
             for a in range(self.n)
         ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return TensorGrid.product(axes).points
 
     def locate(self, X):
         """Cell indices (P, n) of points; boundary goes to the lower cell,
@@ -875,8 +822,7 @@ def _sample_pairs_in_box(box, r, count, rng):
 
 def _grid_neighbor_pairs(box, per_axis=12):
     axes = [np.linspace(l, h, per_axis + 1) for l, h in zip(box.lo, box.hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = TensorGrid.product(axes).points
     n = box.n
     shape = (per_axis + 1,) * n
     xs = []
@@ -992,10 +938,6 @@ class GridDump:
     values: np.ndarray
     gradients: np.ndarray
     hessians: np.ndarray
-
-    @property
-    def box(self):
-        return Box(self.lo, self.hi)
 
 
 def load_grid(fh):

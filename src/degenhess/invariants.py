@@ -116,7 +116,12 @@ def _rotate_pair(A, V, p, q):
         V[:, r, q] = vrq + s * (vrp - tau * vrq)
 
 
-def _jacobi_sweeps(work, V, sweeps_cap):
+# sweeps before the cyclic Jacobi gives up; for n <= 5 a handful of
+# sweeps always suffices in practice
+_JACOBI_SWEEPS = 100
+
+
+def _jacobi_sweeps(work, V):
     # Cyclic Jacobi in place on a flattened symmetric batch: rotations
     # sweep the strict upper triangle in row order until the off-diagonal
     # mass falls below 1e-14 of the matrix norm. V (or None) accumulates
@@ -124,7 +129,7 @@ def _jacobi_sweeps(work, V, sweeps_cap):
     n = work.shape[-1]
     norm = np.sqrt((work * work).sum(axis=(1, 2)))
     tol2 = (1e-14 * np.maximum(norm, 1e-300)) ** 2
-    for _ in range(sweeps_cap):
+    for _ in range(_JACOBI_SWEEPS):
         if bool((_offdiag_sq(work) <= tol2).all()):
             break
         for p in range(n - 1):
@@ -132,15 +137,15 @@ def _jacobi_sweeps(work, V, sweeps_cap):
                 _rotate_pair(work, V, p, q)
     if not bool((_offdiag_sq(work) <= tol2).all()):
         raise EigenConvergenceError(
-            f"Jacobi iteration did not converge within {sweeps_cap} sweeps"
+            f"Jacobi iteration did not converge within {_JACOBI_SWEEPS} sweeps"
         )
 
 
-def _jacobi_eigvals(flat, sweeps_cap=100):
+def _jacobi_eigvals(flat):
     # Values-only cyclic Jacobi for an already-flattened symmetric batch.
     # Used internally with sides up to 2 * MAX_DIM (singular value embedding).
     work = flat.copy()
-    _jacobi_sweeps(work, None, sweeps_cap)
+    _jacobi_sweeps(work, None)
     return np.sort(np.einsum("bii->bi", work), axis=1)
 
 
@@ -152,20 +157,20 @@ def _fix_signs(V):
     return V * np.where(lead < 0.0, -1.0, 1.0)[:, None, :]
 
 
-def sym_eigen(A, sweeps_cap: int = 100) -> Spectrum:
+def sym_eigen(A) -> Spectrum:
     """Full eigen decomposition of symmetric matrices by cyclic Jacobi.
 
     Rotations sweep the strict upper triangle in row order until the
     off-diagonal Frobenius mass falls below 1e-14 of the matrix norm.
-    Raises EigenConvergenceError if sweeps_cap sweeps do not get there
-    (for n <= 5 a handful of sweeps always suffices in practice).
+    Raises EigenConvergenceError if _JACOBI_SWEEPS sweeps do not get
+    there.
     """
     A, lead_shape, n = _as_batch(A, "A")
     _require_symmetric(A, "A")
     work = A.reshape(-1, n, n).copy()
     nbatch = work.shape[0]
     V = np.broadcast_to(np.eye(n), (nbatch, n, n)).copy()
-    _jacobi_sweeps(work, V, sweeps_cap)
+    _jacobi_sweeps(work, V)
 
     vals = np.einsum("bii->bi", work).copy()
     order = np.argsort(vals, axis=1, kind="stable")
@@ -379,16 +384,16 @@ def fro_norm(M) -> np.ndarray:
     return np.sqrt((M * M).sum(axis=(-1, -2)))
 
 
-def rank_below(M, k: int, tol: float = 1e-9) -> np.ndarray:
+def rank_below(M, k: int) -> np.ndarray:
     """True where rank(M) < k, i.e. the (n-k+1)-th singular value vanishes.
 
-    The test is relative: mu_{n-k+1} <= tol * max(1, mu_n).
+    The test is relative: mu_{n-k+1} <= 1e-9 * max(1, mu_n).
     """
     mu = singular_values(M)
     n = mu.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    return mu[..., n - k] <= tol * np.maximum(1.0, mu[..., -1])
+    return mu[..., n - k] <= 1e-9 * np.maximum(1.0, mu[..., -1])
 
 
 def _gs_complete(basis, n):
@@ -500,43 +505,18 @@ def ck_constant(n: int, k: int) -> float:
     return float(n * math.comb(n - 1, k - 1))
 
 
-CK_LIPSCHITZ_CONSTANTS = {
-    (n, k): float(n * math.comb(n - 1, k - 1))
-    for n in range(2, MAX_DIM + 1)
-    for k in range(1, n + 1)
-}
-
-
-def ck_lipschitz_bound(A, B, k: int, constant=None):
+def ck_lipschitz_bound(A, B, k: int):
     """Return (lhs, rhs) of the local Lipschitz inequality for C_k.
 
     lhs = |C_k(A) - C_k(B)|, rhs = L * R^(k-1) * ||A - B||_op with
-    R = max(||A||_op, ||B||_op). With the default constant the inequality
+    L = ck_constant(n, k) and R = max(||A||_op, ||B||_op). The inequality
     always holds, so lhs <= rhs up to roundoff.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[-1]
-    L = ck_constant(n, k) if constant is None else float(constant)
+    L = ck_constant(n, k)
     lhs = np.abs(ck(A, k) - ck(B, k))
     R = np.maximum(op_norm(A), op_norm(B))
     rhs = L * R ** (k - 1) * op_norm(A - B)
     return lhs, rhs
-
-
-def calibrate_ck_constant(n: int, k: int, samples: int = 2000, seed: int = 0) -> float:
-    """Empirical Lipschitz ratio over random matrix pairs.
-
-    Always at most ck_constant(n, k); useful to see how much slack the
-    certified constant carries on typical inputs.
-    """
-    rng = np.random.default_rng(seed)
-    A = rng.uniform(-1.0, 1.0, (samples, n, n))
-    step = rng.uniform(-1.0, 1.0, (samples, n, n))
-    scale = rng.uniform(1e-3, 1.0, (samples, 1, 1))
-    B = A + step * scale
-    lhs = np.abs(ck(A, k) - ck(B, k))
-    R = np.maximum(op_norm(A), op_norm(B))
-    denom = R ** (k - 1) * op_norm(A - B)
-    ok = denom > 1e-300
-    return float((lhs[ok] / denom[ok]).max())

@@ -16,10 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from degenhess.fields import CubePartition, _domain_points
+from degenhess.fields import (
+    CubePartition,
+    ScalarFieldC2,
+    TensorGrid,
+    _domain_points,
+)
 from degenhess.invariants import ck, op_norm
 from degenhess.staircase import (
     StairConfig,
+    VectorFieldC1,
     _CellMatrix,
     _MODULUS_PAIRS,
     _SUP_C1_SAMPLES,
@@ -129,6 +135,16 @@ def stage_measures(result):
     return tuple(out)
 
 
+def _check_layered(*fields):
+    # the measures read the fields' committed layers
+    for f in fields:
+        if not isinstance(f, (ScalarFieldC2, VectorFieldC1)):
+            raise TypeError(
+                "measures take a ScalarFieldC2 or a VectorFieldC1, "
+                f"not a {type(f).__name__}"
+            )
+
+
 def _level(level, *fields):
     """The partition level of a measure of the fields.
 
@@ -155,6 +171,7 @@ def ck_mass(f, k, level, *, config=None):
     (one must divide the other) so cube boundaries never cross atom
     supports.
     """
+    _check_layered(f)
     level = _level(level, f)
     config = config or StairConfig()
     partition = CubePartition(f.box, level)
@@ -191,6 +208,7 @@ def sobolev_seminorm(f, p, *, norm="frobenius", level=None, config=None):
     comparison against operator-norm budgets. The level rule is
     ck_mass's; without a level the finest stage partition is used.
     """
+    _check_layered(f)
     if p < 1:
         raise ValueError("requires p >= 1")
     if norm not in ("frobenius", "operator"):
@@ -246,38 +264,21 @@ class WeakstarGap:
         return self.gap <= self.bound + self.quad_error
 
 
-def _phi_values(phi, pts):
+def _phi_jet(phi, pts):
     out = phi(pts)
-    if isinstance(out, tuple) and len(out) == 2:
-        out = out[0]
-    return np.asarray(out, dtype=float).ravel()
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise TypeError("phi must return (values, gradients)")
+    vals, grads = out
+    return np.asarray(vals, dtype=float).ravel(), np.asarray(grads, dtype=float)
 
 
-def _phi_sups(phi, box, seed=0, samples=4096):
-    n = box.n
+def _phi_sups(phi, box):
+    # sups over a 17-per-axis lattice and 4096 seeded points
     axes = [np.linspace(lo, hi, 17) for lo, hi in zip(box.lo, box.hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    rng = _rng(seed, 23)
-    rand = np.array(box.lo) + rng.random((samples, n)) * np.array(box.edges)
-    pts = np.concatenate([pts, rand])
-    out = phi(pts)
-    if isinstance(out, tuple) and len(out) == 2:
-        vals = np.asarray(out[0], dtype=float).ravel()
-        grads = np.asarray(out[1], dtype=float)
-        return float(np.abs(vals).max()), float(
-            np.linalg.norm(grads, axis=1).max()
-        )
-    vals = np.asarray(out, dtype=float).ravel()
-    # no analytic gradient supplied, fall back to central differences
-    h = 1e-6 * min(box.edges)
-    comps = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = h
-        comps.append((_phi_values(phi, pts + e) - _phi_values(phi, pts - e))
-                     / (2 * h))
-    grads = np.stack(comps, axis=-1)
+    rng = _rng(0, 23)
+    rand = np.array(box.lo) + rng.random((4096, box.n)) * np.array(box.edges)
+    pts = np.concatenate([TensorGrid.product(axes).points, rand])
+    vals, grads = _phi_jet(phi, pts)
     return float(np.abs(vals).max()), float(np.linalg.norm(grads, axis=1).max())
 
 
@@ -307,8 +308,10 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
 
     gap = |integral of (C_k(M_j) - C_k(M_prev)) phi| measured by aligned
     quadrature; the bound is sup|phi| tau^j + C K 2^-j sup|grad phi|.
-    Raises MeasureCheckError when the gap exceeds bound plus quadrature
-    error, since the construction guarantees it never should.
+    phi maps (P, n) points to (values, gradients), as the entries of
+    test_function_family do; it raises TypeError otherwise. Raises
+    MeasureCheckError when the gap exceeds bound plus quadrature error,
+    since the construction guarantees it never should.
 
     j defaults to the committed layer count of f_j. A stalled stage
     reuses the previous field, so pass j explicitly when stepping
@@ -316,6 +319,7 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
     level rule is ck_mass's, against the stage partitions of both, and
     without a level the finest of them is used.
     """
+    _check_layered(f_j, f_prev)
     _same_box_and_kind(f_j, f_prev)
     if j is None:
         j = len(f_j.layers)
@@ -339,7 +343,7 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
 
             def fn(grid):
                 dv = cur.ck(cur(grid), k) - prev.ck(prev(grid), k)
-                return (dv * _phi_values(phi, grid.points))[None, :]
+                return (dv * _phi_jet(phi, grid.points)[0])[None, :]
 
             return fn
 
@@ -521,14 +525,13 @@ class HolderDistance:
         return self.total
 
 
-def holder_distance(f, g, alpha, pairs_per_radius=_MODULUS_PAIRS, seed=0,
-                    samples=_SUP_C1_SAMPLES, radii=None):
+def holder_distance(f, g, alpha, pairs_per_radius=_MODULUS_PAIRS, seed=0):
     """Sampled Hoelder-scale distance between two fields on one box."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
     _same_box_and_kind(f, g)
-    radii = list(radii) if radii is not None else _holder_radii(f.box)
-    sup_v, sup_g = _sup_c1_distance(f, g, samples, seed)
+    radii = _holder_radii(f.box)
+    sup_v, sup_g = _sup_c1_distance(f, g, _SUP_C1_SAMPLES, seed)
     quot = max(_holder_table(f, g, alpha, radii, pairs_per_radius, seed).values)
     return HolderDistance(
         total=sup_v + sup_g + quot,

@@ -235,8 +235,8 @@ class StageRecord:
 class ConstructionResult:
     """Everything a run commits to: the field, per-stage records, traces.
 
-    I_trace has length J + 1 (the base integral first); ratios, schedules
-    and certificates have length J. c1a_distance is the measured
+    I_trace has length J + 1 (the base integral first); ratios and
+    certificates have length J. c1a_distance is the measured
     value + gradient + gradient-Holder distance between the final and
     base fields; little_holder is the ModulusTable of the sampled
     gradient-Holder quotient per radius (of the displacement values on
@@ -267,15 +267,10 @@ class ConstructionResult:
     c1a_distance: float
     c1a_parts: tuple
     c1a_pass: bool
-    c1a_stage_bounds: tuple
     interpolation_checks: tuple
     little_holder: object
     mass_bound_K: float
     aborted: str | None = None
-
-    @property
-    def schedules(self):
-        return tuple(s.schedule for s in self.stages)
 
     @property
     def certificates(self):
@@ -375,14 +370,14 @@ def _layer_lookup(layers, partition, cell):
 
     Yields (layer, atom, nested). atom is the layer's atom at the cell
     center. nested says that the cell lies inside that atom's cell of the
-    layer partition. It is decided from the partition sizes, not by a
-    float test, so on the interior of the cell the atom alone is the
-    layer.
+    layer partition. The partition and every layer's tile the field's
+    box, so this is decided from the partition sizes, not by a float
+    test, and on the interior of the cell the atom alone is the layer.
     """
     center = np.asarray(cell.center)[None, :]
     for layer in layers:
         part = layer.partition
-        nested = part.box == partition.box and partition.m % part.m == 0
+        nested = partition.m % part.m == 0
         if nested:
             idx = tuple(i // (partition.m // part.m) for i in cell.index)
         else:
@@ -479,8 +474,7 @@ def _sup_grid(box, res):
     while res > 2 and (res + 1) ** n > _SUP_CAP_POINTS:
         res -= 1
     axes = [np.linspace(lo, hi, res + 1) for lo, hi in zip(box.lo, box.hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1), res
+    return TensorGrid.product(axes).points, res
 
 
 def _atom_center_line(atom, box, points=256):
@@ -916,8 +910,11 @@ def field_invariant_integrals(field, partition, k, q=None, config=None):
 
     Same breakpoint-aligned panels the stage certificates use, so totals
     computed here are comparable with certificate integrals at matching
-    partitions. Returns (masses, powers, mass_errors, power_errors).
+    partitions. The partition tiles the field's box, as every layer's
+    does. Returns (masses, powers, mass_errors, power_errors).
     """
+    if partition.box != field.box:
+        raise ValueError("the partition must tile the field's box")
     config = config or StairConfig()
     q = q if q is not None else float(k)
     vals, errs, _ = _partition_integrals(
@@ -1390,11 +1387,9 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
 
     radii = _holder_radii(f0.box)
     interp = []
-    bounds = []
     for i, rec in enumerate(stages):
         sch, cert = rec.schedule, rec.certificate
         rhs_i = 2.0 * sch.K_j ** alpha * sch.eps_j ** (1.0 - alpha)
-        bounds.append(rhs_i)
         if cert.stalled or all(a.is_zero for a in rec.atoms):
             interp.append((0.0, rhs_i, True))
             continue
@@ -1444,7 +1439,6 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
         c1a_distance=c1a,
         c1a_parts=(sup_val, sup_grad, quot),
         c1a_pass=bool(c1a_pass),
-        c1a_stage_bounds=tuple(bounds),
         interpolation_checks=tuple(interp),
         little_holder=profile,
         mass_bound_K=mass_K,

@@ -24,11 +24,9 @@ from degenhess.fields import (
     FieldDifference,
     PartitionCapError,
     PolynomialBase,
-    ProductBase,
     QuadratureError,
     QuadraticBase,
     ScalarFieldC2,
-    SumBase,
     TensorGrid,
     TrigBase,
     dump_grid,
@@ -102,8 +100,6 @@ def test_all_base_families_match_finite_differences():
         PolynomialBase([((2, 0), 0.5), ((0, 2), 0.5), ((2, 1), -0.25), ((1, 1), 1.0)], 2),
         trig,
         BumpBase([0.4, 0.6], 0.2, 0.7),
-        SumBase([QuadraticBase(np.eye(2)), BumpBase([0.5, 0.5], 0.3, -0.2)]),
-        ProductBase(trig, BumpBase([0.5, 0.5], 0.4, 1.0)),
     ]
     X = interior_points(box, 1000, rng)
     for base in bases:
@@ -145,6 +141,21 @@ def test_field_layer_must_be_a_cell_atom_layer():
     atom = zero_atom(Box.unit(2))
     with pytest.raises(TypeError, match="one atom per partition cell"):
         ScalarFieldC2(QuadraticBase(np.eye(2)), Box.unit(2), [atom])
+
+
+def test_field_layer_must_tile_the_box():
+    atom = VectorAtom(np.eye(2), np.zeros((2, 2)), zero_atom(Box.unit(2)))
+    for box in (Box((0.0, 0.0), (0.5, 0.5)), Box((0.0, 0.0), (2.0, 1.0))):
+        layer = VectorStagePerturbation(CubePartition(box, 1), [atom])
+        with pytest.raises(ValueError, match="tile the field's box"):
+            VectorFieldC1(LinearMapBase(np.eye(2)), Box.unit(2), [layer])
+
+
+def test_polynomial_terms_are_flat_rows():
+    base = make_base("polynomial", {"terms": [[2, 0, 0.5], [1, 1, 2.0]]}, 2)
+    assert base.terms == (((2, 0), 0.5), ((1, 1), 2.0))
+    with pytest.raises(ValueError, match="2 exponents plus a coefficient"):
+        make_base("polynomial", {"terms": [((2, 0), 0.5)]}, 2)
 
 
 def test_field_rejects_parts_of_the_other_kind():
@@ -226,7 +237,7 @@ def test_partition_centers_order_and_locate():
     assert (part.locate(np.array([[1.0, 1.0]]))[0] == [3, 3]).all()
     cell = part.cell((2, 1))
     assert np.allclose(cell.center, [0.625, 0.375])
-    assert abs(cell.volume - 1.0 / 16.0) <= 1e-15
+    assert abs(cell.box.volume - 1.0 / 16.0) <= 1e-15
 
 
 def test_partition_cells_iterate_row_major():

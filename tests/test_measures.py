@@ -6,6 +6,7 @@ import pytest
 from degenhess import (
     Box,
     LinearMapBase,
+    PiecewiseField,
     ScalarFieldC2,
     StairConfig,
     VectorFieldC1,
@@ -299,6 +300,15 @@ class TestWeakstarGap:
         with pytest.raises(TypeError, match="mix"):
             weakstar_gap(quadratic_field, u, phi, 0.9, 1.0, k=2, j=1)
 
+    def test_phi_without_gradients_rejected(self, quadratic_run):
+        f1 = quadratic_run.stages[0].field
+        with pytest.raises(TypeError, match=r"\(values, gradients\)"):
+            weakstar_gap(
+                f1, quadratic_run.base, lambda X: np.ones(len(X)),
+                quadratic_run.tau, quadratic_run.mass_bound_K, k=2, j=1,
+                config=WCFG,
+            )
+
     def test_violation_raises(self, quadratic_field):
         doubled = scalar("quadratic", {"matrix": [[2.0, 0.0], [0.0, 2.0]]})
         fam = dict(probe_family(2))
@@ -425,3 +435,27 @@ class TestHolderDistance:
             assert got.total <= bound
             total += got.total
         assert total <= quadratic_run.eps
+
+
+class TestGluedField:
+    """The measures read committed layers, which a glued field has not."""
+
+    ACCEPTED = "ScalarFieldC2 or a VectorFieldC1, not a PiecewiseField"
+
+    @pytest.fixture(scope="class")
+    def glued(self, quadratic_field):
+        return PiecewiseField(BOX, (1, 1), [quadratic_field])
+
+    def test_ck_mass_names_accepted_types(self, glued):
+        with pytest.raises(TypeError, match=self.ACCEPTED):
+            ck_mass(glued, 2, None)
+
+    def test_sobolev_seminorm_names_accepted_types(self, glued):
+        with pytest.raises(TypeError, match=self.ACCEPTED):
+            sobolev_seminorm(glued, 2.0)
+
+    def test_weakstar_gap_names_accepted_types(self, glued, quadratic_field):
+        phi = dict(probe_family(2))["1"]
+        for f_j, f_prev in ((glued, quadratic_field), (quadratic_field, glued)):
+            with pytest.raises(TypeError, match=self.ACCEPTED):
+                weakstar_gap(f_j, f_prev, phi, 0.9, 1.0, k=2, j=1)

@@ -41,6 +41,25 @@ def test_readme_imports_resolve():
     exec("from degenhess import " + ", ".join(names), {})
 
 
+def test_demo_imports_resolve():
+    # a removal from the package must fail here, not when a demo runs
+    demos = sorted((README.parent / "demos").glob("*.py"))
+    assert demos
+    resolved = 0
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "degenhess"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"{path.name}: {node.module}.{alias.name}"
+                )
+                resolved += 1
+    assert resolved >= 10
+
+
 def test_readme_key_table_matches_grammar():
     # the first column of the README's top-level key table, against the
     # keys parse_config accepts

@@ -503,6 +503,13 @@ class TestQuadratureEngine:
             run_stage(f, _stalled_schedule(2), 2, 1.5,
                       config=StairConfig(quad_points=2))
 
+    def test_partition_must_tile_the_field_box(self):
+        # nesting against the layers is decided from cell counts alone
+        f = ScalarFieldC2(make_base("quadratic", {"matrix": np.eye(2)}, 2), UNIT_BOX)
+        half = CubePartition(Box((0.0, 0.0), (0.5, 0.5)), 2)
+        with pytest.raises(ValueError, match="tile the field's box"):
+            staircase.field_invariant_integrals(f, half, 2)
+
     def test_run_construction_routes_through_engine(self, monkeypatch):
         calls = _count_engine_calls(monkeypatch)
         w = ScalarFieldC2(
