@@ -286,7 +286,15 @@ class PerturbationAtom:
             return list(range(n))
         return [a for a in range(n) if a != self.aligned_axis]
 
-    def value_grad_hess(self, X):
+    def value_grad_hess(self, X, lo=None):
+        """Value (P,), gradient (P, n) and Hessian (P, n, n) at X.
+
+        lo, when given, is a (P, n) array of lower cube corners, one per
+        point: each point is evaluated by this atom translated to the
+        cube with that corner and this atom's edges. The arithmetic per
+        point is unchanged, so a point gets bitwise what the translated
+        atom gives it.
+        """
         X = np.asarray(X, dtype=float)
         P, n = X.shape
         val = np.zeros(P)
@@ -294,7 +302,8 @@ class PerturbationAtom:
         hess = np.zeros((P, n, n))
         if self.amplitude == 0.0 or self.periods == 0:
             return val, grad, hess
-        lo = np.array(self.cube.lo)
+        if lo is None:
+            lo = np.array(self.cube.lo)
         edges = np.array(self.cube.edges)
         center = lo + edges / 2.0
         Xl = (X - lo) / edges
@@ -1133,8 +1142,10 @@ class VectorAtom:
     def is_zero(self):
         return self.atom.is_zero
 
-    def displacement_jacobian(self, X):
-        _, grad, hess = self.atom.value_grad_hess(X)
+    def displacement_jacobian(self, X, lo=None):
+        """Displacement (P, n) and Jacobian (P, n, n) at X; lo as in
+        PerturbationAtom.value_grad_hess."""
+        _, grad, hess = self.atom.value_grad_hess(X, lo)
         return grad @ self.rotation.T, self.rotation @ hess
 
     def matrix_on(self, grid):

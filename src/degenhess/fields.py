@@ -15,7 +15,7 @@ through it, each supplying its own integrand and panel edges per cell.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -355,13 +355,44 @@ def make_base(family, params, n):
 # ----------------------------------------------------------- the field
 
 
+def _atom_shape(atom):
+    """An atom's geometry without its cube's position, as a hashable key.
+
+    Every dataclass field but the cube, arrays by their bytes and a
+    nested atom (a vector atom's scalar atom) by its own shape.
+    """
+    key = []
+    for f in dataclass_fields(atom):
+        if f.name == "cube":
+            continue
+        v = getattr(atom, f.name)
+        if isinstance(v, np.ndarray):
+            v = v.tobytes()
+        elif is_dataclass(v):
+            v = _atom_shape(v)
+        key.append(v)
+    return tuple(key)
+
+
+def _atom_cube(atom):
+    """The cube an atom is supported in; a vector atom's scalar atom's."""
+    return atom.cube if hasattr(atom, "cube") else atom.atom.cube
+
+
 class _CellAtomLayer:
-    """One atom per partition cell, dispatched by cube lookup.
+    """One atom per partition cell, evaluated one atom shape at a time.
 
     Atom supports are the closed partition cells, so every point belongs
     to exactly one atom up to shared faces where all atoms vanish
-    identically; evaluation in flat cube order keeps the merge
-    deterministic. Subclasses give jet_many for their kind of atom.
+    identically; a point takes the atom of the cell partition.locate
+    gives it. Cells are grouped once, at construction, by atom shape
+    (_atom_shape and the cube's edges), and _dispatch makes one kernel
+    call per shape present, handing each point its cube's lower corner.
+    The kernel works elementwise, so the result is bitwise that of
+    evaluating each cell's atom on its own points, except where NumPy
+    projects a lone point on a rotated atom's direction by a dot product
+    and a batch by a matrix-vector product, which may round the last
+    bit apart. Subclasses give jet_many for their kind of atom.
     """
 
     def __init__(self, partition, atoms):
@@ -370,6 +401,16 @@ class _CellAtomLayer:
             raise ValueError("need one atom per partition cell")
         self.partition = partition
         self.atoms = atoms
+        # _shape_of[ci]: the first cell whose atom has cell ci's atom shape,
+        # and whose atom evaluates the whole shape (-1 for a zero atom);
+        # _lo[ci]: the corner of cell ci's atom's cube
+        shapes = {}
+        self._shape_of = np.full(len(atoms), -1)
+        for ci, atom in enumerate(atoms):
+            if not atom.is_zero:
+                key = (_atom_shape(atom), _atom_cube(atom).edges)
+                self._shape_of[ci] = shapes.setdefault(key, ci)
+        self._lo = np.array([_atom_cube(atom).lo for atom in atoms])
 
     def _flat(self, X):
         idx = self.partition.locate(X)
@@ -382,12 +423,13 @@ class _CellAtomLayer:
         X = np.asarray(X, dtype=float)
         outs = tuple(np.zeros((X.shape[0],) + s) for s in shapes)
         flat = self._flat(X)
-        for ci in np.unique(flat):
-            atom = self.atoms[ci]
-            if atom.is_zero:
+        shape_of = self._shape_of[flat]
+        for si in np.unique(shape_of):
+            if si < 0:
                 continue
-            m = flat == ci
-            for out, part in zip(outs, evaluate(atom, X[m])):
+            m = shape_of == si
+            parts = evaluate(self.atoms[si], X[m], self._lo[flat[m]])
+            for out, part in zip(outs, parts):
                 out[m] = part
         return outs
 

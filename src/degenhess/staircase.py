@@ -16,7 +16,7 @@ stage with zero atoms, keeping every reported inequality a measurement.
 
 import math
 import time
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from degenhess.fields import (
     TensorGrid,
     _CellAtomLayer,
     _LayeredField,
+    _atom_shape,
     _domain_points,
     integrate_on_partition,
     modulus_of_continuity,
@@ -328,7 +329,8 @@ class StagePerturbation(_CellAtomLayer):
     def jet_many(self, X):
         n = self.partition.n
         return self._dispatch(
-            X, ((), (n,), (n, n)), lambda atom, Y: atom.value_grad_hess(Y)
+            X, ((), (n,), (n, n)),
+            lambda atom, Y, lo: atom.value_grad_hess(Y, lo),
         )
 
 
@@ -338,7 +340,8 @@ class VectorStagePerturbation(_CellAtomLayer):
     def jet_many(self, X):
         n = self.partition.n
         return self._dispatch(
-            X, ((n,), (n, n)), lambda atom, Y: atom.displacement_jacobian(Y)
+            X, ((n,), (n, n)),
+            lambda atom, Y, lo: atom.displacement_jacobian(Y, lo),
         )
 
 
@@ -804,22 +807,6 @@ def _axis_edges_for_cell(cell, atoms, axis):
             out.append(a + gap * t / pieces)
         out.append(b)
     return np.asarray(out)
-
-
-def _atom_shape(atom):
-    """An atom's geometry without its cube position, as a hashable key."""
-    if isinstance(atom, VectorAtom):
-        return (
-            atom.rotation.tobytes(),
-            atom.base_symmetric.tobytes(),
-            _atom_shape(atom.atom),
-        )
-    key = []
-    for f in dataclass_fields(atom):
-        if f.name != "cube":
-            v = getattr(atom, f.name)
-            key.append(v.tobytes() if isinstance(v, np.ndarray) else v)
-    return tuple(key)
 
 
 def _cell_class(field, partition, cell, new_atom=None):

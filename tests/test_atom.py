@@ -315,6 +315,22 @@ class TestGridEvaluation:
         assert not za.matrix_on(cube_grid(self.CUBE2, (30, 20), 5)).any()
 
 
+def test_corner_argument_is_the_cube_corner():
+    # value_grad_hess(X, lo) with every corner at the atom's own cube is
+    # bitwise value_grad_hess(X), for aligned, rotated and zero atoms
+    cube = Box((0.25, 0.5), (0.5, 0.75))
+    aligned = build_atom(np.diag([1.0, 2.0]), cube, 0.1, 2, 1.5)
+    rotated = build_atom(np.array([[1.2, -0.4], [-0.4, 0.8]]), cube,
+                         0.1, 2, 1.0)
+    assert aligned.aligned_axis is not None and rotated.aligned_axis is None
+    X = cube_grid(cube, (30, 20), 6).points
+    lo = np.tile(cube.lo, (len(X), 1))
+    for atom in (aligned, rotated, zero_atom(cube)):
+        for got, want in zip(atom.value_grad_hess(X, lo),
+                             atom.value_grad_hess(X)):
+            assert np.array_equal(got, want)
+
+
 class TestCertify:
     def test_identity_certificate(self):
         Q = Box.unit(2)

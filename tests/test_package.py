@@ -9,11 +9,20 @@ import numpy as np
 
 import degenhess
 from degenhess.config import _ALL_KEYS
-from degenhess.fields import Box, QuadraticBase, ScalarFieldC2
+from degenhess.atom import (
+    PerturbationAtom,
+    VectorAtom,
+    build_atom,
+    build_vector_atom,
+    zero_atom,
+)
+from degenhess.fields import Box, CubePartition, QuadraticBase, ScalarFieldC2
 from degenhess.staircase import (
     LinearMapBase,
+    StagePerturbation,
     StairConfig,
     VectorFieldC1,
+    VectorStagePerturbation,
     run_construction,
     run_first_order,
 )
@@ -138,3 +147,48 @@ def test_traced_evaluators_are_the_ones_called():
             evaluated = tracer.counts[field_points] - before[field_points]
             assert evaluated == (len(X) if result is scalar else 0)
     assert [vars(cls)[meth] for cls, meth in methods] == originals
+
+
+def test_layers_call_nothing_on_an_atom_but_its_evaluator(monkeypatch):
+    # the tracer counts atom points in the two traced evaluators only; a
+    # layer that reached an atom through any other method (matrix_on,
+    # _jet, ...) would evaluate points the counts never see. Every method
+    # of both atom classes logs its outermost calls, so the calls an
+    # evaluator makes inside the atom are not logged.
+    cube = Box.unit(2)
+    partition = CubePartition(cube, 2)
+    scalar = [build_atom(np.diag([0.7, 1.8]), c.box, 0.1, 2, 1.5)
+              for c in partition.cells()]
+    scalar[1] = build_atom(np.array([[1.2, -0.4], [-0.4, 0.8]]),
+                           partition.cell((0, 1)).box, 0.1, 2, 1.0)
+    scalar[2] = zero_atom(partition.cell((1, 0)).box)
+    th = 0.7
+    O = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    vector = [build_vector_atom(O @ np.diag([1.0, 2.0]), c.box, 0.1, 2, 1.5)
+              for c in partition.cells()]
+    layers = ((StagePerturbation(partition, scalar), "value_grad_hess"),
+              (VectorStagePerturbation(partition, vector),
+               "displacement_jacobian"))
+    log = []
+    depth = [0]
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                log.append(name)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for cls in (PerturbationAtom, VectorAtom):
+        for name, attr in list(vars(cls).items()):
+            if callable(attr) and not name.startswith("__"):
+                monkeypatch.setattr(cls, name, logged(name, attr))
+    X = np.random.default_rng(6).uniform(0.0, 1.0, (400, 2))
+    for layer, evaluator in layers:
+        log.clear()
+        layer.jet_many(X)
+        assert set(log) == {evaluator}

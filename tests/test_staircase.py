@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from degenhess.fields import (
     make_base,
 )
 from degenhess import fields, staircase
-from degenhess.atom import zero_atom
+from degenhess.atom import PerturbationAtom, zero_atom
 from degenhess.invariants import ck
 from degenhess.measures import (
     ck_mass,
@@ -32,6 +33,7 @@ from degenhess.staircase import (
     StageSchedule,
     StairConfig,
     VectorFieldC1,
+    VectorStagePerturbation,
     assemble_box_domain,
     default_tau,
     plan_stage,
@@ -243,7 +245,63 @@ class TestStagePerturbationLayer:
             m = flat == ci
             va, ga, ha = layer.atoms[ci].value_grad_hess(pts[m])
             assert np.array_equal(v[m], va)
+            assert np.array_equal(g[m], ga)
             assert np.array_equal(h[m], ha)
+
+    def test_vector_dispatch_matches_atoms(self, identity_first_order_run):
+        layer = identity_first_order_run.field.layers[0]
+        assert isinstance(layer, VectorStagePerturbation)
+        assert not all(atom.is_zero for atom in layer.atoms)
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0.05, 0.95, (64, 2))
+        d, J = layer.jet_many(pts)
+        flat = layer._flat(pts)
+        for ci in np.unique(flat):
+            m = flat == ci
+            da, Ja = layer.atoms[ci].displacement_jacobian(pts[m])
+            assert np.array_equal(d[m], da)
+            assert np.array_equal(J[m], Ja)
+
+    def test_mixed_layer_one_kernel_call_per_shape(self, quadratic_run,
+                                                   monkeypatch):
+        # zero atoms and a second atom shape in one layer: every non-zero
+        # shape present is evaluated in one call, bitwise as cell by cell
+        layer = quadratic_run.field.layers[0]
+        atoms = list(layer.atoms)
+        halved = (2, 9, 15)
+        for ci in (1, 6):
+            atoms[ci] = zero_atom(atoms[ci].cube)
+        for ci in halved:
+            atoms[ci] = replace(atoms[ci], amplitude=atoms[ci].amplitude / 2.0)
+        mixed = StagePerturbation(layer.partition, atoms)
+        calls = []
+        kernel = PerturbationAtom.value_grad_hess
+
+        def counted(atom, X, lo=None):
+            calls.append(len(X))
+            return kernel(atom, X, lo)
+
+        monkeypatch.setattr(PerturbationAtom, "value_grad_hess", counted)
+        t = np.linspace(0.0, 1.0, 41)
+        point_sets = [np.random.default_rng(8).uniform(0.0, 1.0, (300, 2))]
+        for c in (0.25, 0.5, 0.75, 1.0):  # internal faces, then the top face
+            point_sets.append(np.stack([np.full_like(t, c), t], axis=-1))
+            point_sets.append(np.stack([t, np.full_like(t, c)], axis=-1))
+        counts = []
+        for pts in point_sets:
+            calls.clear()
+            got = mixed.jet_many(pts)
+            counts.append(len(calls))
+            flat = mixed._flat(pts)
+            shapes = {ci in halved for ci in np.unique(flat)
+                      if not atoms[ci].is_zero}
+            assert counts[-1] == len(shapes)
+            for ci in np.unique(flat):
+                m = flat == ci
+                want = kernel(atoms[ci], pts[m])
+                for part, ref in zip(got, want):
+                    assert np.array_equal(part[m], ref)
+        assert counts[0] == 2
 
     def test_vanishes_on_internal_faces(self, quadratic_run):
         layer = quadratic_run.field.layers[0]
