@@ -268,6 +268,11 @@ class PerturbationAtom:
         return self.amplitude == 0.0
 
     @property
+    def scalar(self):
+        """The scalar atom: this one, as VectorAtom.scalar is its atom."""
+        return self
+
+    @property
     def direction(self):
         return np.array(self.frame[:, self.axis_index])
 
@@ -1141,6 +1146,11 @@ class VectorAtom:
     @property
     def is_zero(self):
         return self.atom.is_zero
+
+    @property
+    def scalar(self):
+        """The scalar atom whose gradient map this is."""
+        return self.atom
 
     def displacement_jacobian(self, X, lo=None):
         """Displacement (P, n) and Jacobian (P, n, n) at X; lo as in

@@ -174,12 +174,6 @@ class PolynomialBase:
             raise ValueError("polynomial needs at least one term")
         self.terms = tuple(cleaned)
 
-    @staticmethod
-    def _pow(x, e):
-        if e < 0:
-            return np.zeros_like(x)
-        return x**e
-
     def jet_many(self, X):
         X = _check_points(X, self.n)
         P, n = X.shape
@@ -187,28 +181,28 @@ class PolynomialBase:
         grad = np.zeros((P, n))
         hess = np.zeros((P, n, n))
         for exps, coeff in self.terms:
-            cols = [self._pow(X[:, a], exps[a]) for a in range(n)]
+            cols = [X[:, a] ** exps[a] for a in range(n)]
             val += coeff * math.prod(cols[1:], start=cols[0])
             for a in range(n):
                 if exps[a] == 0:
                     continue
                 parts = list(cols)
-                parts[a] = self._pow(X[:, a], exps[a] - 1)
+                parts[a] = X[:, a] ** (exps[a] - 1)
                 grad[:, a] += coeff * exps[a] * math.prod(parts[1:], start=parts[0])
                 for b in range(n):
                     if a == b:
                         if exps[a] < 2:
                             continue
                         parts2 = list(cols)
-                        parts2[a] = self._pow(X[:, a], exps[a] - 2)
+                        parts2[a] = X[:, a] ** (exps[a] - 2)
                         hess[:, a, a] += (
                             coeff * exps[a] * (exps[a] - 1)
                             * math.prod(parts2[1:], start=parts2[0])
                         )
                     elif exps[b] > 0:
                         parts2 = list(cols)
-                        parts2[a] = self._pow(X[:, a], exps[a] - 1)
-                        parts2[b] = self._pow(X[:, b], exps[b] - 1)
+                        parts2[a] = X[:, a] ** (exps[a] - 1)
+                        parts2[b] = X[:, b] ** (exps[b] - 1)
                         # integer product first keeps the (a,b)/(b,a)
                         # entries bitwise equal
                         hess[:, a, b] += (
@@ -374,11 +368,6 @@ def _atom_shape(atom):
     return tuple(key)
 
 
-def _atom_cube(atom):
-    """The cube an atom is supported in; a vector atom's scalar atom's."""
-    return atom.cube if hasattr(atom, "cube") else atom.atom.cube
-
-
 class _CellAtomLayer:
     """One atom per partition cell, evaluated one atom shape at a time.
 
@@ -408,9 +397,9 @@ class _CellAtomLayer:
         self._shape_of = np.full(len(atoms), -1)
         for ci, atom in enumerate(atoms):
             if not atom.is_zero:
-                key = (_atom_shape(atom), _atom_cube(atom).edges)
+                key = (_atom_shape(atom), atom.scalar.cube.edges)
                 self._shape_of[ci] = shapes.setdefault(key, ci)
-        self._lo = np.array([_atom_cube(atom).lo for atom in atoms])
+        self._lo = np.array([atom.scalar.cube.lo for atom in atoms])
 
     def _flat(self, X):
         idx = self.partition.locate(X)
@@ -933,6 +922,58 @@ def modulus_of_continuity(
         values=tuple(values),
         pairs=int(dist.size),
     )
+
+
+def _rng(*key):
+    parts = []
+
+    def add(v):
+        if isinstance(v, (tuple, list)):
+            for t in v:
+                add(t)
+        else:
+            parts.append(abs(int(v)) & 0xFFFFFFFF)
+
+    add(key)
+    return np.random.default_rng(np.random.SeedSequence(tuple(parts)))
+
+
+# point pairs per radius of a sampled closeness quotient, and random
+# points of its sampled sups
+MODULUS_PAIRS = 4000
+_SUP_C1_SAMPLES = 8192
+
+
+def c1_alpha_distance(f, g, alpha, seed, *, pairs=MODULUS_PAIRS,
+                      sup_seed=None):
+    """Sampled C^(1,alpha) closeness of f to g, fields of one kind on one box.
+
+    Returns (sup_value, sup_gradient, table); the distance is their sum
+    with max(table.values). table is the ModulusTable of f - g, on 13
+    dyadic radii up to the box diameter with pairs per radius, of the
+    gradients' alpha-quotient on scalar fields (pairs from seed) and of
+    the displacements' on first-order maps (jet_parts 2; pairs from the
+    (seed, 19) stream). The sups are taken over box points from the
+    (sup_seed, 17) stream, a first-order map's gradient part reading 0;
+    without sup_seed they are not sampled and read None.
+    """
+    diff = FieldDifference(f, g)
+    vector = f.jet_parts == 2
+    box = f.box
+    diam = float(np.linalg.norm(np.array(box.edges)))
+    table = modulus_of_continuity(
+        diff, 0 if vector else 1, alpha,
+        [diam * 2.0 ** (-i) for i in range(12, -1, -1)],
+        pairs_per_radius=pairs, seed=_rng(seed, 19) if vector else seed,
+    )
+    if sup_seed is None:
+        return None, None, table
+    rng = _rng(sup_seed, 17)
+    pts = np.array(box.lo) + rng.random((_SUP_C1_SAMPLES, box.n)) * box.edges
+    dv, dg = diff.evaluate_many(pts, check_domain=False)[:2]
+    if vector:
+        return float(np.linalg.norm(dv, axis=1).max()), 0.0, table
+    return float(np.abs(dv).max()), float(np.linalg.norm(dg, axis=1).max()), table
 
 
 # ------------------------------------------------------------ grid dump

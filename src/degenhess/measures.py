@@ -17,25 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from degenhess.fields import (
+    MODULUS_PAIRS,
     CubePartition,
     ScalarFieldC2,
     TensorGrid,
     _domain_points,
+    c1_alpha_distance,
 )
-from degenhess.invariants import ck, op_norm
+from degenhess.invariants import op_norm
 from degenhess.staircase import (
     StairConfig,
     VectorFieldC1,
-    _CellMatrix,
-    _MODULUS_PAIRS,
-    _SUP_C1_SAMPLES,
-    _holder_radii,
-    _holder_table,
-    _is_vector,
-    _partition_integrals,
-    _rng,
-    _sup_c1_distance,
     field_invariant_integrals,
+    partition_integrals,
 )
 
 
@@ -216,9 +210,7 @@ def sobolev_seminorm(f, p, *, norm="frobenius", level=None, config=None):
     config = config or StairConfig()
     partition = CubePartition(f.box, _level(level, f))
 
-    def integrand(ci, cell):
-        matrix = _CellMatrix(f, partition, cell)
-
+    def integrand(ci, cell, matrix):
         def fn(grid):
             M = matrix(grid)
             frob = np.sqrt((M * M).sum(axis=(1, 2)))
@@ -226,7 +218,7 @@ def sobolev_seminorm(f, p, *, norm="frobenius", level=None, config=None):
 
         return fn
 
-    vals, _, _ = _partition_integrals(f, partition, integrand, 2, config)
+    vals, _, _ = partition_integrals((f,), partition, integrand, 2, config)
     totals = vals.sum(axis=0)
     pick = totals[0] if norm == "frobenius" else totals[1]
     return float(pick) ** (1.0 / p)
@@ -275,7 +267,7 @@ def _phi_jet(phi, pts):
 def _phi_sups(phi, box):
     # sups over a 17-per-axis lattice and 4096 seeded points
     axes = [np.linspace(lo, hi, 17) for lo, hi in zip(box.lo, box.hi)]
-    rng = _rng(0, 23)
+    rng = np.random.default_rng((0, 23))
     rand = np.array(box.lo) + rng.random((4096, box.n)) * np.array(box.edges)
     pts = np.concatenate([TensorGrid.product(axes).points, rand])
     vals, grads = _phi_jet(phi, pts)
@@ -298,7 +290,7 @@ def _extra_layers_zero(f_j, f_prev):
 def _same_box_and_kind(f, g):
     if f.box != g.box:
         raise ValueError("fields live on different boxes")
-    if _is_vector(f) != _is_vector(g):
+    if isinstance(f, VectorFieldC1) != isinstance(g, VectorFieldC1):
         raise TypeError("cannot mix scalar and first-order fields")
 
 
@@ -337,17 +329,16 @@ def weakstar_gap(f_j, f_prev, phi, tau, K, *, k, j=None, level=None,
     else:
         partition = CubePartition(box, level)
 
-        def integrand(ci, cell):
-            cur = _CellMatrix(f_j, partition, cell)
-            prev = _CellMatrix(f_prev, partition, cell)
-
+        def integrand(ci, cell, cur, prev):
             def fn(grid):
                 dv = cur.ck(cur(grid), k) - prev.ck(prev(grid), k)
                 return (dv * _phi_jet(phi, grid.points)[0])[None, :]
 
             return fn
 
-        vals, errs, _ = _partition_integrals(f_j, partition, integrand, 1, config)
+        vals, errs, _ = partition_integrals(
+            (f_j, f_prev), partition, integrand, 1, config
+        )
         gap = float(abs(vals[:, 0].sum()))
         quad_error = float(errs[:, 0].sum())
 
@@ -525,19 +516,20 @@ class HolderDistance:
         return self.total
 
 
-def holder_distance(f, g, alpha, pairs_per_radius=_MODULUS_PAIRS, seed=0):
+def holder_distance(f, g, alpha, pairs_per_radius=MODULUS_PAIRS, seed=0):
     """Sampled Hoelder-scale distance between two fields on one box."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
     _same_box_and_kind(f, g)
-    radii = _holder_radii(f.box)
-    sup_v, sup_g = _sup_c1_distance(f, g, _SUP_C1_SAMPLES, seed)
-    quot = max(_holder_table(f, g, alpha, radii, pairs_per_radius, seed).values)
+    sup_v, sup_g, table = c1_alpha_distance(
+        f, g, alpha, seed, pairs=pairs_per_radius, sup_seed=seed
+    )
+    quot = max(table.values)
     return HolderDistance(
         total=sup_v + sup_g + quot,
         sup_value=sup_v,
         sup_gradient=sup_g,
         holder_quotient=float(quot),
         alpha=float(alpha),
-        pairs=pairs_per_radius * len(radii),
+        pairs=pairs_per_radius * len(table.radii),
     )

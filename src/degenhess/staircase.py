@@ -32,7 +32,6 @@ from degenhess.atom import (
 from degenhess.fields import (
     Box,
     CubePartition,
-    FieldDifference,
     PartitionCapError,
     QuadratureCounts,
     ScalarFieldC2,
@@ -40,9 +39,9 @@ from degenhess.fields import (
     _CellAtomLayer,
     _LayeredField,
     _atom_shape,
-    _domain_points,
+    _rng,
+    c1_alpha_distance,
     integrate_on_partition,
-    modulus_of_continuity,
     refine_partition,
 )
 from degenhess.invariants import ck, op_norm, polar_decompose
@@ -50,20 +49,6 @@ from degenhess.invariants import ck, op_norm, polar_decompose
 
 class ScheduleError(ValueError):
     pass
-
-
-def _rng(*key):
-    parts = []
-
-    def add(v):
-        if isinstance(v, (tuple, list)):
-            for t in v:
-                add(t)
-        else:
-            parts.append(abs(int(v)) & 0xFFFFFFFF)
-
-    add(key)
-    return np.random.default_rng(np.random.SeedSequence(tuple(parts)))
 
 
 def default_tau(k, p):
@@ -94,9 +79,9 @@ class StairConfig:
     skips near-flat cubes. seed pins every random draw. quad_points and
     node_budget set the stage quadrature. Fixed sizes are module
     constants at their use (_BASE_PANELS, _EVAL_CHUNK, _C0_SAMPLES,
-    _C2_SAMPLES, _SUP_CAP_POINTS, _BETA_PAIRS, _MODULUS_PAIRS,
-    _SUP_C1_SAMPLES) or the callee's defaults (_bisect_delta's samples,
-    tune_atom's budget).
+    _C2_SAMPLES, _SUP_CAP_POINTS, _BETA_PAIRS) or the callee's defaults
+    (_bisect_delta's samples, tune_atom's budget, c1_alpha_distance's
+    samples).
     """
 
     tau: float | None = None
@@ -348,23 +333,14 @@ class VectorStagePerturbation(_CellAtomLayer):
 # --------------------------------------------------------- field adapters
 
 
-def _is_vector(field):
-    return isinstance(field, VectorFieldC1)
-
-
 def _matrix_many(field, X):
     """The frozen matrix field, last in evaluate_many: Hessian or Jacobian."""
     return field.evaluate_many(X, check_domain=False)[-1]
 
 
-def _geometry_atom(atom):
-    return atom.atom if isinstance(atom, VectorAtom) else atom
-
-
 def _layer_atoms(field):
     return [
-        _geometry_atom(a)
-        for layer in field.layers for a in layer.atoms if not a.is_zero
+        a.scalar for layer in field.layers for a in layer.atoms if not a.is_zero
     ]
 
 
@@ -407,7 +383,7 @@ def _atoms_at_cell(field, partition, cell):
                 layer.atoms[i] for i in np.flatnonzero(inside)
                 if layer.atoms[i] is not atom
             ]
-        out.extend(_geometry_atom(a) for a in atoms if not a.is_zero)
+        out.extend(a.scalar for a in atoms if not a.is_zero)
     return out
 
 
@@ -835,33 +811,44 @@ def _cell_class(field, partition, cell, new_atom=None):
     return tuple(key)
 
 
-def _partition_integrals(field, partition, integrand, nout, config,
-                         new_atoms=None, classes=None):
-    """integrate_on_partition with panels snapped to the field's atoms.
+def partition_integrals(fields, partition, integrand, nout, config,
+                        new_atoms=None, classes=None):
+    """integrate_on_partition of the fields' frozen matrices.
 
-    integrand(ci, cell) returns the cell's fn. Each integrated cell's
-    panels snap to the breakpoints of the committed atoms that reach it
-    and, when new_atoms (one per cell) is given, of its new atom; the
-    StairConfig supplies the Gauss points and the node budget. classes,
-    one _cell_class key per cell, is passed through.
-    Returns (values, errors, QuadratureCounts), values and errors of
-    shape (cells, nout) in row-major cell order.
+    integrand(ci, cell, *matrices) returns the cell's fn, given the
+    cell's frozen-matrix evaluator of each field, in order: called on a
+    TensorGrid of points inside the cell, it gives their (P, n, n)
+    matrices, bitwise as the field's evaluate_many; its ck(M, k) gives
+    C_k of them. Each integrated cell's panels snap to the breakpoints
+    of every field's committed atoms that reach it, each atom once, so
+    the order of the fields does not move them, and, when new_atoms (one
+    per cell) is given, of its new atom. The StairConfig supplies the
+    Gauss points and the node budget; classes, one _cell_class key per
+    cell, is passed through. Returns (values, errors, QuadratureCounts),
+    values and errors of shape (cells, nout) in row-major cell order.
     """
 
     def edges(ci, cell):
-        atoms = _atoms_at_cell(field, partition, cell)
+        atoms = list({
+            id(a): a for f in fields for a in _atoms_at_cell(f, partition, cell)
+        }.values())
         if new_atoms is not None and not new_atoms[ci].is_zero:
-            atoms.append(_geometry_atom(new_atoms[ci]))
+            atoms.append(new_atoms[ci].scalar)
         return [_axis_edges_for_cell(cell, atoms, a) for a in range(partition.n)]
 
+    def cell_integrand(ci, cell):
+        return integrand(
+            ci, cell, *(_CellMatrix(f, partition, cell) for f in fields)
+        )
+
     return integrate_on_partition(
-        integrand, partition, nout, edges=edges, points=config.quad_points,
-        chunk=_EVAL_CHUNK, node_budget=config.node_budget,
-        classes=classes,
+        cell_integrand, partition, nout, edges=edges,
+        points=config.quad_points, chunk=_EVAL_CHUNK,
+        node_budget=config.node_budget, classes=classes,
     )
 
 
-def _stage_integrand(f_prev, partition, cell, atom, k, q):
+def _stage_integrand(frozen, atom, k, q):
     """The five stage integrands on one cell, as one fn(pts).
 
     Rows: C_k of the frozen matrix and of the new one, their q/k-th
@@ -870,7 +857,6 @@ def _stage_integrand(f_prev, partition, cell, atom, k, q):
     increment is zero.
     """
     expo = q / k
-    frozen = _CellMatrix(f_prev, partition, cell)
     if atom is None or atom.is_zero:
 
         def fn(grid):
@@ -904,9 +890,9 @@ def field_invariant_integrals(field, partition, k, q=None, config=None):
         raise ValueError("the partition must tile the field's box")
     config = config or StairConfig()
     q = q if q is not None else float(k)
-    vals, errs, _ = _partition_integrals(
-        field, partition,
-        lambda ci, cell: _stage_integrand(field, partition, cell, None, k, q),
+    vals, errs, _ = partition_integrals(
+        (field,), partition,
+        lambda ci, cell, frozen: _stage_integrand(frozen, None, k, q),
         5, config,
     )
     return vals[:, 0].copy(), vals[:, 2].copy(), errs[:, 0].copy(), errs[:, 2].copy()
@@ -967,7 +953,7 @@ _C0_SAMPLES = 4096
 _C2_SAMPLES = 100_000
 
 
-def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
+def run_stage(f_prev, schedule, k, p, config=None, prev_cert=None,
               atom_cache=None):
     """Execute one planned stage and certify it.
 
@@ -985,12 +971,12 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
     every cell had been integrated. Fields without that structure are
     integrated cell by cell. The certificate records the counts.
 
-    Returns (atoms, f_j, StageCertificate). prev_state carries the
-    previous stage's per-cube masses so a stalled stage can reproduce
-    them bitwise instead of re-integrating.
+    Returns (atoms, f_j, StageCertificate). prev_cert, the previous
+    stage's certificate, carries its per-cube masses so a stalled stage
+    can reproduce them bitwise instead of re-integrating.
     """
     config = config or StairConfig()
-    vector = _is_vector(f_prev)
+    vector = isinstance(f_prev, VectorFieldC1)
     q = p
     j = schedule.j
     tau = schedule.tau
@@ -1053,7 +1039,7 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
                 atoms.append(_make_zero(cell.box, eps_j, vector))
                 S = polar_decompose(A)[1] if vector else A
                 certs.append(
-                    certify_atom(_geometry_atom(atoms[-1]), S, k, q, tau_bound=tau)
+                    certify_atom(atoms[-1].scalar, S, k, q, tau_bound=tau)
                 )
                 continue
             atom, cert, failed = _tune_for_cube(
@@ -1126,14 +1112,14 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
     pass_c2 = not c2_violations
 
     # cprop3 and cprop4 from per-cube quadrature; a stalled stage with a
-    # carried state reproduces the previous masses bitwise.
-    if schedule.stalled and prev_state is not None and prev_state["m"] == schedule.m_j:
-        masses_prev = prev_state["masses"].copy()
-        errs_prev = prev_state["mass_errs"].copy()
-        masses_new = prev_state["masses"].copy()
-        errs_new = prev_state["mass_errs"].copy()
-        I_prev = prev_state["power"]
-        I_prev_err = prev_state["power_err"]
+    # previous certificate reproduces the previous masses bitwise.
+    if schedule.stalled and prev_cert is not None and prev_cert.m_j == schedule.m_j:
+        masses_prev = prev_cert.masses_new.copy()
+        errs_prev = prev_cert.mass_errs_new.copy()
+        masses_new = prev_cert.masses_new.copy()
+        errs_new = prev_cert.mass_errs_new.copy()
+        I_prev = prev_cert.I_new
+        I_prev_err = prev_cert.I_new_err
         I_new = I_prev
         I_new_err = I_prev_err
         grad2 = 0.0
@@ -1142,11 +1128,9 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
     else:
         # a stalled stage's zero atoms leave integrands and panels as
         # they are, like no atoms at all
-        vals, errs, quadrature = _partition_integrals(
-            f_prev, partition,
-            lambda ci, cell: _stage_integrand(
-                f_prev, partition, cell, atoms[ci], k, q
-            ),
+        vals, errs, quadrature = partition_integrals(
+            (f_prev,), partition,
+            lambda ci, cell, frozen: _stage_integrand(frozen, atoms[ci], k, q),
             5, config, atoms,
             [
                 _cell_class(f_prev, partition, cell, atoms[ci])
@@ -1243,57 +1227,20 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_state=None,
 # -------------------------------------------------------- run_construction
 
 
-def _sup_c1_distance(f, g, samples, seed):
-    rng = _rng(seed, 17)
-    box = f.box
-    pts = np.array(box.lo) + rng.random((samples, box.n)) * np.array(box.edges)
-    dv, dg = FieldDifference(f, g).evaluate_many(pts, check_domain=False)[:2]
-    if _is_vector(f):
-        # first-order closeness is measured on the displacement values alone
-        return float(np.linalg.norm(dv, axis=1).max()), 0.0
-    return float(np.abs(dv).max()), float(np.linalg.norm(dg, axis=1).max())
-
-
-def _holder_table(f, g, alpha, radii, pairs, seed):
-    """Sampled alpha-quotient of f - g: of the gradients (order 1) for
-    scalar fields, of the displacement values (order 0, pairs drawn from
-    the (seed, 19) stream) for first-order maps."""
-    if _is_vector(f):
-        order, seed = 0, _rng(seed, 19)
-    else:
-        order = 1
-    return modulus_of_continuity(
-        FieldDifference(f, g), order, alpha, radii,
-        pairs_per_radius=pairs, seed=seed,
-    )
-
-
-def _holder_radii(box):
-    diam = float(np.linalg.norm(np.array(box.edges)))
-    return [diam * 2.0 ** (-i) for i in range(12, -1, -1)]
-
-
 def _base_seminorm_qq(field, q, config):
     """Integral of the q-th power of the base matrix's operator norm over
     the box, with its error bar, on an 8-per-axis partition whose cells
     share quadrature by translation class."""
     partition = CubePartition(field.box, 8)
 
-    def integrand(ci, cell):
-        matrix = _CellMatrix(field, partition, cell)
+    def integrand(ci, cell, matrix):
         return lambda grid: (op_norm(matrix(grid)) ** q)[None]
 
-    vals, errs, _ = _partition_integrals(
-        field, partition, integrand, 1, config,
+    vals, errs, _ = partition_integrals(
+        (field,), partition, integrand, 1, config,
         classes=[_cell_class(field, partition, cell) for cell in partition.cells()],
     )
     return float(vals.sum()), float(errs.sum())
-
-
-# point pairs per radius of the sampled Hoelder quotients of a run, and
-# random points of its sampled sup C^1 distance
-_MODULUS_PAIRS = 4000
-_SUP_C1_SAMPLES = 8192
 
 
 def _run_loop(f0, k, p, alpha, eps, J, config):
@@ -1321,7 +1268,6 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
     base_qq, base_qq_err = _base_seminorm_qq(f0, q, config)
     f = f0
     stages = []
-    state = None
     m_prev = 1
     aborted = None
     cache = {}
@@ -1338,7 +1284,9 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
             )
             break
         atoms, f_new, cert = run_stage(
-            f, schedule, k, q, config=config, prev_state=state, atom_cache=cache
+            f, schedule, k, q, config=config,
+            prev_cert=stages[-1].certificate if stages else None,
+            atom_cache=cache,
         )
         stages.append(
             StageRecord(
@@ -1347,13 +1295,6 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
             )
         )
         fields_chain.append(f_new)
-        state = {
-            "m": schedule.m_j,
-            "masses": cert.masses_new,
-            "mass_errs": cert.mass_errs_new,
-            "power": cert.I_new,
-            "power_err": cert.I_new_err,
-        }
         f = f_new
         m_prev = schedule.m_j
 
@@ -1372,7 +1313,6 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
     slack = sum(c.grad2_qq_err for c in certs) + math.comb(f0.n, k) * base_qq_err * geom
     budget_pass = lhs <= rhs + slack
 
-    radii = _holder_radii(f0.box)
     interp = []
     for i, rec in enumerate(stages):
         sch, cert = rec.schedule, rec.certificate
@@ -1380,22 +1320,22 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
         if cert.stalled or all(a.is_zero for a in rec.atoms):
             interp.append((0.0, rhs_i, True))
             continue
-        table = _holder_table(
-            fields_chain[i + 1], fields_chain[i], alpha, radii,
-            _MODULUS_PAIRS, config.seed + 23 + i,
+        _, _, table = c1_alpha_distance(
+            fields_chain[i + 1], fields_chain[i], alpha, config.seed + 23 + i
         )
         sup_v = max(c.sup_value for c in cert.atom_certs)
         sup_g = max(c.sup_gradient for c in cert.atom_certs)
         # a vector atom's displacement is the scalar atom's gradient, and
         # first-order closeness is measured on the displacement alone
-        lhs_i = (sup_g if _is_vector(f0) else sup_v + sup_g) + max(table.values)
+        lhs_i = (
+            sup_g if isinstance(f0, VectorFieldC1) else sup_v + sup_g
+        ) + max(table.values)
         interp.append((lhs_i, rhs_i, lhs_i <= rhs_i * (1.0 + 1e-9) + 1e-15))
 
-    profile = _holder_table(
-        f, f0, alpha, radii, _MODULUS_PAIRS, config.seed + 29
+    sup_val, sup_grad, profile = c1_alpha_distance(
+        f, f0, alpha, config.seed + 29, sup_seed=config.seed
     )
     quot = max(profile.values)
-    sup_val, sup_grad = _sup_c1_distance(f, f0, _SUP_C1_SAMPLES, config.seed)
     c1a = sup_val + sup_grad + quot
     c1a_pass = c1a <= eps
 
@@ -1455,119 +1395,3 @@ def run_first_order(u, k, p, alpha, eps, J, config=None):
     if not isinstance(u, VectorFieldC1):
         raise TypeError("u must be a VectorFieldC1")
     return _run_loop(u, k, p, alpha, eps, J, config)
-
-
-# ------------------------------------------------------ box assembly
-
-
-class PiecewiseField:
-    """Per-cell construction results glued into one evaluator."""
-
-    def __init__(self, box, counts, cell_fields):
-        self.box = box
-        self.counts = tuple(counts)
-        self.fields = tuple(cell_fields)
-        self.n = box.n
-
-    def _flat(self, X):
-        lo = np.array(self.box.lo)
-        edges = np.array(self.box.edges) / np.array(self.counts)
-        idx = np.floor((X - lo) / edges).astype(np.int64)
-        idx = np.clip(idx, 0, np.array(self.counts) - 1)
-        return np.ravel_multi_index(tuple(idx[:, a] for a in range(self.n)), self.counts)
-
-    def evaluate_many(self, X, check_domain=True):
-        X = _domain_points(self.box, X, check_domain)
-        flat = self._flat(X)
-        val = np.zeros(X.shape[0])
-        grad = np.zeros_like(X)
-        hess = np.zeros((X.shape[0], self.n, self.n))
-        for ci in np.unique(flat):
-            m = flat == ci
-            v, g, h = self.fields[ci].evaluate_many(X[m], check_domain=False)
-            val[m], grad[m], hess[m] = v, g, h
-        return val, grad, hess
-
-
-@dataclass(frozen=True, eq=False)
-class AssembledConstruction:
-    field: PiecewiseField
-    results: tuple
-    counts: tuple
-    interface_gap: float
-    interface_points: int
-
-    @property
-    def certificates(self):
-        out = []
-        for r in self.results:
-            out.extend(r.certificates)
-        return tuple(out)
-
-    @property
-    def all_passed(self):
-        return all(r.all_passed for r in self.results)
-
-
-def assemble_box_domain(w, box, cell_size, k, p, alpha, eps, J, config=None):
-    """Cover the box by equal cells and run the construction per cell.
-
-    The atoms of each cell vanish with their gradients on the cell
-    boundary, so the glued field is C1 across interfaces; the sampled
-    interface gap is measured rather than assumed. The cell size must
-    divide every box edge.
-    """
-    if not isinstance(w, ScalarFieldC2):
-        raise TypeError("w must be a ScalarFieldC2")
-    cell_size = float(cell_size)
-    if cell_size <= 0:
-        raise ValueError("cell size must be positive")
-    counts = []
-    for e in box.edges:
-        r = e / cell_size
-        if abs(r - round(r)) > 1e-9 or round(r) < 1:
-            raise ValueError(f"cell size {cell_size} does not divide box edge {e}")
-        counts.append(int(round(r)))
-    config = config or StairConfig()
-
-    results = []
-    fields = []
-    for z in np.ndindex(*counts):
-        lo = tuple(l + i * cell_size for l, i in zip(box.lo, z))
-        hi = tuple(l + cell_size for l in lo)
-        cell_box = Box(lo, hi)
-        f0 = ScalarFieldC2(w.base, cell_box)
-        res = run_construction(f0, k, p, alpha, eps, J, config=config)
-        results.append(res)
-        fields.append(res.field)
-    glued = PiecewiseField(box, counts, fields)
-
-    # sampled continuity across every interior interface
-    rng = _rng(config.seed, 31)
-    gap = 0.0
-    npts = 0
-    n = box.n
-    for a in range(n):
-        for i in range(1, counts[a]):
-            plane = box.lo[a] + i * cell_size
-            pts = np.array(box.lo) + rng.random((256, n)) * np.array(box.edges)
-            pts[:, a] = plane
-            lowside = pts.copy()
-            lowside[:, a] = plane - 1e-12
-            hiside = pts.copy()
-            hiside[:, a] = plane + 1e-12
-            fv, fg, _ = glued.evaluate_many(lowside, check_domain=False)
-            gv, gg, _ = glued.evaluate_many(hiside, check_domain=False)
-            gap = max(
-                gap,
-                float(np.abs(fv - gv).max()),
-                float(np.linalg.norm(fg - gg, axis=1).max()),
-            )
-            npts += pts.shape[0]
-    return AssembledConstruction(
-        field=glued,
-        results=tuple(results),
-        counts=tuple(counts),
-        interface_gap=gap,
-        interface_points=npts,
-    )

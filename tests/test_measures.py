@@ -6,7 +6,6 @@ import pytest
 from degenhess import (
     Box,
     LinearMapBase,
-    PiecewiseField,
     ScalarFieldC2,
     StairConfig,
     VectorFieldC1,
@@ -20,7 +19,7 @@ from degenhess import (
     test_function_family as probe_family,
     weakstar_gap,
 )
-from degenhess.fields import DomainError, make_base
+from degenhess.fields import DomainError, FieldDifference, make_base
 from degenhess.measures import MeasureCheckError, _measure
 
 BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -251,6 +250,22 @@ class TestWeakstarGap:
             )
             assert got.passed, name
 
+    def test_gap_does_not_depend_on_argument_order(self, quadratic_run):
+        # the panels snap to the atoms of both fields, whichever comes
+        # first, so swapping them only negates the integrand
+        f1 = quadratic_run.stages[0].field
+        for name, phi in probe_family(2):
+            got, swapped = (
+                weakstar_gap(
+                    f, g, phi, quadratic_run.tau, quadratic_run.mass_bound_K,
+                    k=2, j=1, config=WCFG,
+                )
+                for f, g in ((f1, quadratic_run.base), (quadratic_run.base, f1))
+            )
+            assert (swapped.gap, swapped.quad_error) == (
+                got.gap, got.quad_error
+            ), name
+
     def test_stalled_stage_gap_zero(self, quadratic_run):
         fam = dict(probe_family(2))
         got = weakstar_gap(
@@ -438,24 +453,26 @@ class TestHolderDistance:
 
 
 class TestGluedField:
-    """The measures read committed layers, which a glued field has not."""
+    """The measures read committed layers, which an evaluator without
+    them, such as a field difference, has not."""
 
-    ACCEPTED = "ScalarFieldC2 or a VectorFieldC1, not a PiecewiseField"
+    ACCEPTED = "ScalarFieldC2 or a VectorFieldC1, not a FieldDifference"
 
     @pytest.fixture(scope="class")
-    def glued(self, quadratic_field):
-        return PiecewiseField(BOX, (1, 1), [quadratic_field])
+    def layerless(self, quadratic_field):
+        return FieldDifference(quadratic_field, quadratic_field)
 
-    def test_ck_mass_names_accepted_types(self, glued):
+    def test_ck_mass_names_accepted_types(self, layerless):
         with pytest.raises(TypeError, match=self.ACCEPTED):
-            ck_mass(glued, 2, None)
+            ck_mass(layerless, 2, None)
 
-    def test_sobolev_seminorm_names_accepted_types(self, glued):
+    def test_sobolev_seminorm_names_accepted_types(self, layerless):
         with pytest.raises(TypeError, match=self.ACCEPTED):
-            sobolev_seminorm(glued, 2.0)
+            sobolev_seminorm(layerless, 2.0)
 
-    def test_weakstar_gap_names_accepted_types(self, glued, quadratic_field):
+    def test_weakstar_gap_names_accepted_types(self, layerless, quadratic_field):
         phi = dict(probe_family(2))["1"]
-        for f_j, f_prev in ((glued, quadratic_field), (quadratic_field, glued)):
+        for f_j, f_prev in ((layerless, quadratic_field),
+                            (quadratic_field, layerless)):
             with pytest.raises(TypeError, match=self.ACCEPTED):
                 weakstar_gap(f_j, f_prev, phi, 0.9, 1.0, k=2, j=1)

@@ -69,6 +69,23 @@ def test_demo_imports_resolve():
     assert resolved >= 10
 
 
+def test_no_module_imports_private_staircase_names():
+    # the other modules reach the stage driver through its public seam
+    # (partition_integrals, field_invariant_integrals); a private name
+    # imported from it would couple them to how it integrates a field
+    src = Path(degenhess.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.module == "degenhess.staircase"
+                or (node.level == 1 and node.module == "staircase")
+            ):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not found, found
+
+
 def test_readme_key_table_matches_grammar():
     # the first column of the README's top-level key table, against the
     # keys parse_config accepts

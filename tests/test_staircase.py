@@ -7,7 +7,6 @@ import pytest
 from degenhess.fields import (
     Box,
     CubePartition,
-    DomainError,
     PartitionCapError,
     QuadratureError,
     ScalarFieldC2,
@@ -27,14 +26,12 @@ from degenhess.measures import (
 from degenhess.report import run_report_text
 from degenhess.staircase import (
     LinearMapBase,
-    PiecewiseField,
     ScheduleError,
     StagePerturbation,
     StageSchedule,
     StairConfig,
     VectorFieldC1,
     VectorStagePerturbation,
-    assemble_box_domain,
     default_tau,
     plan_stage,
     run_construction,
@@ -45,8 +42,8 @@ from degenhess.staircase import (
     _cell_class,
     _layer_lookup,
     _matrix_many,
-    _partition_integrals,
     _stage_integrand,
+    partition_integrals,
 )
 
 UNIT_BOX = Box((0.0, 0.0), (1.0, 1.0))
@@ -422,6 +419,28 @@ def _stalled_schedule(m):
     )
 
 
+def test_partition_integrals_hands_each_field_its_matrix():
+    # an integrand gets the cell's frozen-matrix evaluator of every
+    # field, in the order the fields are given
+    fields_ = [
+        ScalarFieldC2(make_base("quadratic", {"matrix": c * np.eye(2)}, 2),
+                      UNIT_BOX)
+        for c in (1.0, 3.0)
+    ]
+    partition = CubePartition(UNIT_BOX, 2)
+
+    def integrand(ci, cell, first, second):
+        return lambda grid: np.stack(
+            [first(grid)[:, 0, 0], second(grid)[:, 1, 1]]
+        )
+
+    vals, _, counts = partition_integrals(
+        fields_, partition, integrand, 2, StairConfig(quad_points=2)
+    )
+    np.testing.assert_allclose(vals, [[0.25, 0.75]] * 4, rtol=1e-13)
+    assert counts.cells == 4
+
+
 def _stage_pass(field, partition, atoms, config, shared):
     cells = list(partition.cells())
     classes = None
@@ -430,9 +449,9 @@ def _stage_pass(field, partition, atoms, config, shared):
             _cell_class(field, partition, cell, atoms[ci])
             for ci, cell in enumerate(cells)
         ]
-    return _partition_integrals(
-        field, partition,
-        lambda ci, cell: _stage_integrand(field, partition, cell, atoms[ci], 2, 1.5),
+    return partition_integrals(
+        (field,), partition,
+        lambda ci, cell, frozen: _stage_integrand(frozen, atoms[ci], 2, 1.5),
         5, config, atoms, classes,
     )
 
@@ -735,36 +754,3 @@ class TestDeterminism:
         assert c1.I_new == c2.I_new
         assert atoms1[0].periods == atoms2[0].periods
         assert atoms1[0].amplitude == atoms2[0].amplitude
-
-
-class TestAssembleBoxDomain:
-    def test_affine_two_by_two(self):
-        w = affine_field()
-        asm = assemble_box_domain(
-            w, UNIT_BOX, 0.5, 2, 1.5, 0.3, 0.1, 1, config=StairConfig(seed=2)
-        )
-        assert asm.counts == (2, 2)
-        assert len(asm.results) == 4
-        assert asm.interface_gap <= 1e-10
-        assert asm.all_passed
-        pts = np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])
-        v, g, h = asm.field.evaluate_many(pts)
-        assert np.allclose(v, pts @ np.array([0.3, -0.2]) + 1.0, atol=1e-14)
-        assert np.abs(h).max() == 0.0
-
-    def test_evaluate_checks_domain(self):
-        w = ScalarFieldC2(make_base("quadratic", {"matrix": np.eye(2)}, 2), UNIT_BOX)
-        glued = PiecewiseField(UNIT_BOX, (1, 1), [w])
-        with pytest.raises(DomainError):
-            glued.evaluate_many(np.array([[5.0, 5.0]]))
-        v, _, _ = glued.evaluate_many(np.array([[5.0, 5.0]]), check_domain=False)
-        assert v[0] == 25.0
-
-    def test_rejects_nondividing_cell(self):
-        w = affine_field()
-        with pytest.raises(ValueError, match="does not divide"):
-            assemble_box_domain(w, UNIT_BOX, 0.3, 2, 1.5, 0.3, 0.1, 1)
-        with pytest.raises(ValueError):
-            assemble_box_domain(w, UNIT_BOX, -0.5, 2, 1.5, 0.3, 0.1, 1)
-        with pytest.raises(TypeError):
-            assemble_box_domain(object(), UNIT_BOX, 0.5, 2, 1.5, 0.3, 0.1, 1)
