@@ -24,7 +24,7 @@ from degenhess.atom import CERTIFICATE_COLUMNS, tune_atom
 from degenhess.config import ConfigError, parse_config
 from degenhess.fields import Cell, dump_grid
 from degenhess.invariants import ck, fro_norm, lk, op_norm, singular_values
-from degenhess.report import run_report_text, soft_failures, write_run_dir
+from degenhess.report import soft_failures, write_run_dir
 from degenhess.staircase import default_tau, run_construction
 
 
@@ -116,16 +116,6 @@ def _cmd_run(args, out):
         config=cfg.stair_config(),
     )
     paths = write_run_dir(result, cfg, cfg.out_dir)
-
-    if cfg.dump_res >= 2:
-        stages = cfg.dump_stages or (len(result.stages),)
-        for s in stages:
-            s = min(s, len(result.stages))
-            f_s = result.base if s == 0 else result.stages[s - 1].field
-            path = os.path.join(cfg.out_dir, f"grid_stage_{s:02d}.txt")
-            with open(path, "w") as fh:
-                dump_grid(f_s, cfg.dump_res, fh)
-
     fails = soft_failures(result)
     out.write(f"run directory: {cfg.out_dir}\n")
     out.write(f"summary: {paths['summary']}\n")

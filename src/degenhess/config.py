@@ -3,13 +3,12 @@ section, strict validation with line numbers, and a canonical serializer
 whose output parses back to the same config.
 
 Top-level keys: n, k, p, alpha, eps and J are required; the rest default
-to the RunConfig fields of the same names. The nine stage-driver keys
-(tau, q, seed, quad_points, cube_cap, mass_floor, schedule_mode,
-strict_partition, node_budget) take their defaults from StairConfig, so
-a config that names none of them runs exactly like StairConfig(). The
-run keys are box_lo and box_hi (the unit box, which RunConfig fills from
-n), dump_res (0, no dump), dump_stages (empty, the last stage) and
-out_dir (runs/out).
+to the RunConfig fields of the same names. The four stage-driver keys
+(tau, seed, quad_points, node_budget) take their defaults from
+StairConfig, so a config that names none of them runs exactly like
+StairConfig(). The run keys are box_lo and box_hi (the unit box, which
+RunConfig fills from n) and out_dir (runs/out). Any other key is an
+unknown key.
 The [base] section appears once and needs a family key; every other
 entry is passed to the base builder, scalars as floats, space-separated
 rows as vectors, semicolon-separated rows as matrices. A key given twice,
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 
 from degenhess.fields import Box, ScalarFieldC2, make_base
-from degenhess.staircase import SCHEDULE_MODES, StairConfig
+from degenhess.staircase import StairConfig
 
 
 class ConfigError(ValueError):
@@ -34,15 +33,11 @@ class ConfigError(ValueError):
         self.line = line
 
 
-_INT_KEYS = ("n", "k", "J", "seed", "quad_points", "cube_cap",
-             "node_budget", "dump_res")
-_FLOAT_KEYS = ("p", "alpha", "eps", "tau", "q", "mass_floor")
-_STR_KEYS = ("schedule_mode", "out_dir")
-_BOOL_KEYS = ("strict_partition",)
+_INT_KEYS = ("n", "k", "J", "seed", "quad_points", "node_budget")
+_FLOAT_KEYS = ("p", "alpha", "eps", "tau")
+_STR_KEYS = ("out_dir",)
 _VEC_KEYS = ("box_lo", "box_hi")
-_INTLIST_KEYS = ("dump_stages",)
-_ALL_KEYS = (_INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _BOOL_KEYS
-             + _VEC_KEYS + _INTLIST_KEYS)
+_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _VEC_KEYS
 _REQUIRED = ("n", "k", "p", "alpha", "eps", "J")
 
 
@@ -62,18 +57,11 @@ class RunConfig:
     J: int
     base: BaseSpec
     tau: float | None = StairConfig.tau
-    q: float | None = StairConfig.q
     seed: int = StairConfig.seed
     box_lo: tuple = ()
     box_hi: tuple = ()
     quad_points: int = StairConfig.quad_points
-    cube_cap: int = StairConfig.cube_cap
-    mass_floor: float = StairConfig.mass_floor
-    schedule_mode: str = StairConfig.schedule_mode
-    strict_partition: bool = StairConfig.strict_partition
     node_budget: int = StairConfig.node_budget
-    dump_res: int = 0
-    dump_stages: tuple = ()
     out_dir: str = "runs/out"
 
     def __post_init__(self):
@@ -184,14 +172,8 @@ def parse_config(text):
             raw[key] = _parse_int(value, key, no)
         elif key in _FLOAT_KEYS:
             raw[key] = _parse_float(value, key, no)
-        elif key in _BOOL_KEYS:
-            if value not in ("true", "false"):
-                raise ConfigError(f"expected true/false for '{key}'", no)
-            raw[key] = value == "true"
         elif key in _VEC_KEYS:
             raw[key] = tuple(_parse_scalar(t, no) for t in value.split())
-        elif key in _INTLIST_KEYS:
-            raw[key] = tuple(_parse_int(t, key, no) for t in value.split())
         else:
             if not value:
                 raise ConfigError(f"empty value for '{key}'", no)
@@ -225,8 +207,6 @@ def parse_config(text):
         fail("J must be a positive integer", "J")
     if vals["tau"] is not None and not 0.0 < vals["tau"] < 1.0:
         fail("tau must lie in (0,1)", "tau")
-    if vals["q"] is not None and not p <= vals["q"] < k:
-        fail("requires p <= q < k", "q")
     for key in _VEC_KEYS:
         if key in raw and len(raw[key]) != n:
             fail(f"{key} needs {n} entries", key)
@@ -234,18 +214,8 @@ def parse_config(text):
         fail("box_hi must exceed box_lo per axis", "box_hi")
     if vals["quad_points"] < 2:
         fail("quad_points must be at least 2", "quad_points")
-    if vals["cube_cap"] < 4:
-        fail("cube_cap must be at least 4", "cube_cap")
-    if vals["mass_floor"] < 0.0:
-        fail("mass_floor must be nonnegative", "mass_floor")
     if vals["node_budget"] < 1:
         fail("node_budget must be positive", "node_budget")
-    if vals["schedule_mode"] not in SCHEDULE_MODES:
-        fail("schedule_mode must be holder or contraction", "schedule_mode")
-    if vals["dump_res"] != 0 and vals["dump_res"] < 2:
-        fail("resolution must be at least 2", "dump_res")
-    if any(s < 0 or s > vals["J"] for s in vals["dump_stages"]):
-        fail("dump_stages entries must lie in 0..J", "dump_stages")
 
     try:
         cfg.build_field()
@@ -256,8 +226,6 @@ def parse_config(text):
 
 
 def _fmt_num(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     f = float(v)
@@ -277,13 +245,12 @@ def _fmt_param(v):
 def serialize_config(cfg):
     """Canonical text form; parse_config(serialize_config(c)) == c.
 
-    Keys follow the RunConfig field order; tau and q are left out when
-    unset and dump_stages when empty.
+    Keys follow the RunConfig field order; tau is left out when unset.
     """
     out = []
     for f in fields(RunConfig):
         v = getattr(cfg, f.name)
-        if f.name == "base" or v is None or f.name == "dump_stages" and not v:
+        if f.name == "base" or v is None:
             continue
         out.append(f"{f.name} = {_fmt_param(v)}")
     out.extend(["", "[base]", f"family = {cfg.base.family}"])

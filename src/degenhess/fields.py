@@ -26,7 +26,7 @@ class DomainError(ValueError):
 
 
 class PartitionCapError(RuntimeError):
-    """The required partition would exceed the configured per-axis cap.
+    """The required partition would exceed the per-axis cap.
 
     Carries .needed (the m the constraints demand) and .cap.
     """

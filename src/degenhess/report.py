@@ -94,8 +94,6 @@ def soft_failures(result):
                 out.append(
                     f"stage {stage}: mass total exceeds the uniform bound"
                 )
-    if result.aborted:
-        out.append(f"aborted: {result.aborted}")
     return out
 
 
@@ -129,7 +127,6 @@ def run_report_text(result, config=None):
         f"seed = {result.seed}",
         f"completed_stages = {len(result.stages)}",
         f"live_stages = {result.live_stages} of {result.J}",
-        f"aborted = {result.aborted if result.aborted else 'no'}",
     ]
 
     for rec in result.stages:
@@ -152,7 +149,6 @@ def run_report_text(result, config=None):
             f"eps_j = {_g(c.eps_j)}",
             f"delta_j = {_g(sch.delta_j)}",
             f"beta_j = {_g(sch.beta_j)}",
-            f"mode = {sch.mode}",
             f"flags = {' '.join(flags) if flags else 'none'}",
             f"atoms = {len(c.atom_certs)} cubes, {live} live, "
             f"{len(c.floor_skips)} floor-skipped, {len(c.osc_skips)} "

@@ -63,44 +63,26 @@ def default_tau(k, p):
     return min(pred + 0.1, 0.97)
 
 
-SCHEDULE_MODES = ("holder", "contraction")
-
-
 @dataclass(frozen=True)
 class StairConfig:
     """Settings of the stage driver.
 
-    tau and q override the defaults derived from (k, p). cube_cap caps
-    the cells per partition axis; strict_partition raises instead of
-    waiving or stalling a capped stage. schedule_mode 'holder' keeps the
-    final field within eps of the base in the C1-alpha scale;
-    'contraction' spends tau^j/6 on each stage and waives that guarantee
-    (recorded on the schedule). mass_floor, relative to the stage's mass,
-    skips near-flat cubes. seed pins every random draw. quad_points and
-    node_budget set the stage quadrature. Fixed sizes are module
-    constants at their use (_BASE_PANELS, _EVAL_CHUNK, _C0_SAMPLES,
-    _C2_SAMPLES, _SUP_CAP_POINTS, _BETA_PAIRS) or the callee's defaults
-    (_bisect_delta's samples, tune_atom's budget, c1_alpha_distance's
-    samples).
+    tau overrides the default derived from (k, p). seed pins every random
+    draw. quad_points and node_budget set the stage quadrature. Fixed
+    sizes are module constants at their use (_CUBE_CAP, _MASS_FLOOR,
+    _BASE_PANELS, _EVAL_CHUNK, _C0_SAMPLES, _C2_SAMPLES, _SUP_CAP_POINTS,
+    _BETA_PAIRS) or the callee's defaults (_bisect_delta's samples,
+    tune_atom's budget, c1_alpha_distance's samples).
     """
 
     tau: float | None = None
-    q: float | None = None
-    cube_cap: int = 512
-    mass_floor: float = 1e-14
-    schedule_mode: str = "holder"
-    strict_partition: bool = False
     seed: int = 0
     quad_points: int = 4
     node_budget: int = 300_000_000
 
     def __post_init__(self):
-        if self.schedule_mode not in SCHEDULE_MODES:
-            raise ValueError(f"unknown schedule_mode '{self.schedule_mode}'")
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0,1)")
-        if self.cube_cap < 1:
-            raise ValueError("cube_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,7 +96,9 @@ class StageSchedule:
     delivering delta_j. diameter_waived means the eps_j/2 cell-diameter
     condition was dropped because beta_j alone admitted a partition
     under the cap; stalled means not even beta_j did and the stage runs
-    with zero atoms on the previous partition. probe_atoms counts the
+    with zero atoms on the previous partition. holder_budget_ok records
+    that K_j^alpha eps_j^(1-alpha) fits the stage's share of the
+    closeness budget. probe_atoms counts the
     committed live atoms; sup_probed and beta_probed how many of them
     the K_j and beta_j samples probed along their trains (the lists are
     cut at fixed lengths).
@@ -127,7 +111,6 @@ class StageSchedule:
     beta_j: float
     m_j: int
     K_j: float
-    mode: str
     sample_axis: int
     sup_samples: int
     beta_pairs: int
@@ -142,7 +125,7 @@ class StageSchedule:
         if not self.stalled:
             if not self.eps_j < self.tau**self.j / 3.0:
                 raise ScheduleError("eps_j must stay below tau^j / 3")
-            if self.mode == "holder" and self.K_j > 0 and not self.holder_budget_ok:
+            if self.K_j > 0 and not self.holder_budget_ok:
                 raise ScheduleError("holder budget violated by eps_j")
 
 
@@ -256,7 +239,6 @@ class ConstructionResult:
     interpolation_checks: tuple
     little_holder: object
     mass_bound_K: float
-    aborted: str | None = None
 
     @property
     def certificates(self):
@@ -264,14 +246,14 @@ class ConstructionResult:
 
     @property
     def live_stages(self):
-        """Completed stages that did not stall."""
-        return sum(1 for c in self.certificates if not c.stalled)
+        """Stages that committed at least one nonzero atom."""
+        return sum(
+            1 for s in self.stages if any(not a.is_zero for a in s.atoms)
+        )
 
     @property
     def all_passed(self):
-        return self.aborted is None and all(
-            c.passed for c in self.certificates
-        )
+        return all(c.passed for c in self.certificates)
 
 
 # ------------------------------------------------------------- vector types
@@ -621,8 +603,9 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
     on the field's sampled modulus, m_j from the partition refinement
     rule. If the full diameter condition exceeds the cube cap the
     governor retries with beta_j alone (diameter_waived); if that also
-    exceeds the cap the stage stalls. strict_partition converts both
-    fallbacks into the cap error.
+    exceeds the cap the stage stalls, so the cap never ends a run. eps_j
+    is the stage's share of the closeness budget eps, which keeps the
+    final field within eps of the base in the C1-alpha scale.
     """
     config = config or StairConfig()
     if not 0.0 < tau < 1.0:
@@ -642,8 +625,6 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
     )
 
     def eps_of(Kval):
-        if config.schedule_mode == "contraction":
-            return tau**j / 6.0
         cap = tau**j / 3.0
         if Kval <= 0.0:
             return cap / 2.0
@@ -661,20 +642,18 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
     scale = math.sqrt(n) / edge_norm
 
     def decide_m(eps_eff, beta_eff):
-        return refine_partition(m_prev, j, eps_eff, beta_eff, n, cap=config.cube_cap)
+        return refine_partition(m_prev, j, eps_eff, beta_eff, n, cap=_CUBE_CAP)
 
     waived = False
     stalled = False
     try:
         m_j = decide_m(eps_j * scale, beta_j * scale)
     except PartitionCapError:
-        if config.strict_partition:
-            raise
         try:
             m_beta = decide_m(math.inf, beta_j * scale)
             m_j = m_prev * math.ceil(max(m_beta, 4) / m_prev)
-            if m_j > config.cube_cap:
-                raise PartitionCapError(m_j, config.cube_cap)
+            if m_j > _CUBE_CAP:
+                raise PartitionCapError(m_j, _CUBE_CAP)
             waived = True
         except PartitionCapError:
             m_j = m_prev
@@ -702,7 +681,6 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
         beta_j=beta_j,
         m_j=m_j,
         K_j=K,
-        mode=config.schedule_mode,
         sample_axis=res_used,
         sup_samples=sup_samples,
         beta_pairs=beta_pairs,
@@ -711,7 +689,7 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
         beta_probed=beta_probed,
         diameter_waived=waived,
         stalled=stalled,
-        holder_budget_ok=holder_ok if config.schedule_mode == "holder" else True,
+        holder_budget_ok=holder_ok,
     )
 
 
@@ -951,6 +929,12 @@ def _make_zero(cube, eps_j, vector):
 # Hessian-cap samples shared among the live cells (32 to 256 per cell)
 _C0_SAMPLES = 4096
 _C2_SAMPLES = 100_000
+# partition cells per axis; past it a stage waives or stalls (plan_stage)
+# instead of tuning an atom on each cell of an unbounded partition
+_CUBE_CAP = 512
+# a cell whose C_k mass is below this fraction of the stage's total is
+# already flat to rounding and gets a zero atom
+_MASS_FLOOR = 1e-14
 
 
 def run_stage(f_prev, schedule, k, p, config=None, prev_cert=None,
@@ -994,7 +978,7 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_cert=None,
     A_all = _matrix_many(f_prev, centers)
     ck_centers = ck(A_all, k)
     mass_scale = float((ck_centers * vol).sum())
-    floor = config.mass_floor * max(mass_scale, 1e-300)
+    floor = _MASS_FLOOR * max(mass_scale, 1e-300)
 
     notes = []
     atoms = []
@@ -1255,9 +1239,7 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
     if not isinstance(J, int) or J < 1:
         raise ValueError("J must be a positive integer")
     config = config or StairConfig()
-    q = config.q if config.q is not None else max(p, 1.0 + 1e-3)
-    if not p <= q < k:
-        raise ValueError("internal exponent q must satisfy p <= q < k")
+    q = max(p, 1.0 + 1e-3)
     tau = config.tau if config.tau is not None else default_tau(k, p)
     pred = predicted_contraction(k, q)
     if tau <= pred * 1.005:
@@ -1269,20 +1251,13 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
     f = f0
     stages = []
     m_prev = 1
-    aborted = None
     cache = {}
     fields_chain = [f0]
     for j in range(1, J + 1):
         t_stage = time.perf_counter()
-        try:
-            schedule = plan_stage(
-                f, j, tau, alpha, eps, config, k=k, q=q, m_prev=m_prev
-            )
-        except PartitionCapError as exc:
-            aborted = (
-                f"stage {j}: partition needs {exc.needed} cells per axis, cap {exc.cap}"
-            )
-            break
+        schedule = plan_stage(
+            f, j, tau, alpha, eps, config, k=k, q=q, m_prev=m_prev
+        )
         atoms, f_new, cert = run_stage(
             f, schedule, k, q, config=config,
             prev_cert=stages[-1].certificate if stages else None,
@@ -1369,16 +1344,15 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
         interpolation_checks=tuple(interp),
         little_holder=profile,
         mass_bound_K=mass_K,
-        aborted=aborted,
     )
 
 
 def run_construction(w, k, p, alpha, eps, J, config=None):
     """Drive J stages from the smooth scalar base field w.
 
-    Runs with the internal exponent q = max(p, 1 + 1e-3). A stage whose
-    partition is infeasible under strict_partition aborts the loop and
-    the partial result carries the abort marker.
+    Runs with the internal exponent q = max(p, 1 + 1e-3). Every stage
+    runs: the cube cap waives the diameter condition or stalls a stage
+    (plan_stage), it never ends the run.
     """
     if not isinstance(w, ScalarFieldC2):
         raise TypeError("w must be a ScalarFieldC2")

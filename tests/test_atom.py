@@ -20,7 +20,7 @@ from degenhess.atom import (
     zero_atom,
 )
 from degenhess.fields import Box, TensorGrid
-from degenhess.invariants import ck, op_norm
+from degenhess.invariants import ck
 
 GAMMA = 0.01
 

@@ -18,7 +18,6 @@ from degenhess.fields import (
     AffineBase,
     Box,
     BumpBase,
-    Cell,
     CubePartition,
     DomainError,
     FieldDifference,

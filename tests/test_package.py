@@ -86,6 +86,32 @@ def test_no_module_imports_private_staircase_names():
     assert not found, found
 
 
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py is left out: its imports are the package's re-exports
+    src = Path(degenhess.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(tests.glob("*.py"))
+    found = [hit for path in paths for hit in _unused_imports(path)]
+    assert not found, found
+
+
 def test_readme_key_table_matches_grammar():
     # the first column of the README's top-level key table, against the
     # keys parse_config accepts
