@@ -317,10 +317,13 @@ class PerturbationAtom:
     def matrix_on(self, grid):
         """The Hessian at grid.points, (P, n, n).
 
-        On a tensor grid an aligned atom evaluates its profile once per
-        node of the oscillation axis and each cutoff once per node of its
-        collar axis; _jet then broadcasts the products value_grad_hess
-        forms, in its order, so the result is bitwise the same. Rotated
+        On a tensor grid an aligned atom forms its profile factors once
+        per node of the oscillation axis and its cutoff factors once per
+        node of each collar axis, then writes only the entries that are
+        not zero by structure: the oscillation diagonal, the mixed row
+        and column, and the collar block. Each entry is the product _jet
+        forms, in its order, so it equals value_grad_hess's entry; only an
+        exact zero may differ in sign, which moves no integral. Rotated
         atoms, zero atoms and scattered points go through value_grad_hess.
         """
         a0 = self.aligned_axis
@@ -337,21 +340,60 @@ class PerturbationAtom:
         lo = np.array(self.cube.lo)
         edges = np.array(self.cube.edges)
         center = lo + edges / 2.0
-        t = along(a0, (grid.axes[a0] - center[a0]) * self.direction[a0])
-        Xl = {
-            a: along(a, (grid.axes[a] - lo[a]) / edges[a])
-            for a in self._collar_axes()
-        }
+        e = self.direction
+        # the factors _jet forms, per axis and in its order
+        t = along(a0, (grid.axes[a0] - center[a0]) * e[a0])
+        T = self.train_extent
+        delta = T / self.periods
+        in_train = np.abs(t) <= T / 2.0
+        u = (t + T / 2.0) / delta
+        u = u - np.floor(u)
+        w0, w1, w2 = profile_eval(np.clip(u, 0.0, 1.0), self.gamma_s)
+        w0[~in_train] = 0.0
+        w1[~in_train] = 0.0
+        w2[~in_train] = 0.0
+        psi = self.amplitude * delta * delta * w0
+        psi1 = self.amplitude * delta * w1
+        psi2 = self.amplitude * w2
+
+        collar = self._collar_axes()
         shape = tuple(1 if a == a0 else v.size for a, v in enumerate(grid.axes))
-        return self._jet(t, Xl, shape)[2].reshape(-1, n, n)
+        c0s, c1s, c2s = {}, {}, {}
+        for a in collar:
+            Xl = along(a, (grid.axes[a] - lo[a]) / edges[a])
+            c0, c1, c2 = cutoff_eval(Xl, self.gamma_c)
+            c0s[a] = c0
+            c1s[a] = c1 / edges[a]
+            c2s[a] = c2 / (edges[a] * edges[a])
+
+        def prod_except(skip):
+            out = np.ones(shape)
+            for a in collar:
+                if a not in skip:
+                    out = out * c0s[a]
+            return out
+
+        H = np.zeros(tuple(v.size for v in grid.axes) + (n, n))
+        np.multiply(prod_except(()) * psi2, e[a0] * e[a0],
+                    out=H[..., a0, a0])
+        for b in collar:
+            rest = prod_except((b,))
+            np.multiply(psi1, c1s[b] * rest * e[a0], out=H[..., a0, b])
+            H[..., b, a0] = H[..., a0, b]
+            np.multiply(psi, c2s[b] * rest, out=H[..., b, b])
+        for b, c in combinations(collar, 2):
+            np.multiply(psi, c1s[b] * c1s[c] * prod_except((b, c)),
+                        out=H[..., b, c])
+            H[..., c, b] = H[..., b, c]
+        return H.reshape(-1, n, n)
 
     def _jet(self, t, Xl, shape):
         """Value, gradient and Hessian of the atom from the offsets t along
         its direction and the unit coordinates Xl[a] of each collar axis.
 
-        The arrays broadcast: t and the collar cutoffs to shape, and the
-        result to their common shape, so per-point and per-axis inputs
-        form the same products in the same order.
+        value_grad_hess passes per-point arrays of shape (P,). matrix_on's
+        grid kernel forms the Hessian's nonzero products as this does and
+        in its order, so its entries equal these.
         """
         n = self.cube.n
         e = self.direction

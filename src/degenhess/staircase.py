@@ -375,12 +375,13 @@ class _CellMatrix:
     Called on a TensorGrid, it returns the (P, n, n) matrices at
     grid.points. They equal _matrix_many there, without its global
     dispatch: the layers are added in the order evaluate_many sums them,
-    so the result is bitwise the same. A nested layer contributes its
-    covering atom only, through the atom's matrix_on, and nothing when
-    that atom is zero; any other layer keeps its own dispatch. A base
-    whose matrix is constant by construction exposes it as
-    constant_matrix, which is broadcast instead of evaluating values and
-    gradients; when no layer contributes either, constant holds it.
+    so entries are equal (an exact zero may differ in sign) and integrals
+    bitwise the same. A nested layer contributes its covering atom only,
+    through the atom's matrix_on, and nothing when that atom is zero; any
+    other layer keeps its own dispatch. A base whose matrix is constant by
+    construction exposes it as constant_matrix, which is broadcast instead
+    of evaluating values and gradients; when no layer contributes either,
+    constant holds it.
     """
 
     def __init__(self, field, partition, cell):
@@ -796,7 +797,8 @@ def partition_integrals(fields, partition, integrand, nout, config,
     integrand(ci, cell, *matrices) returns the cell's fn, given the
     cell's frozen-matrix evaluator of each field, in order: called on a
     TensorGrid of points inside the cell, it gives their (P, n, n)
-    matrices, bitwise as the field's evaluate_many; its ck(M, k) gives
+    matrices, equal to the field's evaluate_many (an exact zero may
+    differ in sign, integrals are bitwise the same); its ck(M, k) gives
     C_k of them. Each integrated cell's panels snap to the breakpoints
     of every field's committed atoms that reach it, each atom once, so
     the order of the fields does not move them, and, when new_atoms (one

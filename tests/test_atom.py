@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -254,16 +255,22 @@ def cube_grid(cube, sizes, seed):
     return TensorGrid.product(axes)
 
 
-def assert_grid_matches_points(atom, sizes, seed=0):
-    grid = cube_grid(atom.cube, sizes, seed)
+def assert_grid_matches_points(atom, sizes, seed=0, grid=None):
+    grid = grid or cube_grid(atom.cube, sizes, seed)
     got = atom.matrix_on(grid)
+    want = atom.value_grad_hess(grid.points)[2]
     assert got.shape == (grid.points.shape[0],) + (atom.cube.n,) * 2
-    assert np.array_equal(got, atom.value_grad_hess(grid.points)[2])
+    assert np.array_equal(got, want)
+    # the grid kernel skips terms that are zero by structure, so only the
+    # sign of an exact zero may differ
+    differs = got.view(np.int64) != want.view(np.int64)
+    assert not got[differs].any()
 
 
 class TestGridEvaluation:
-    # matrix_on evaluates aligned atoms per axis and must be bitwise the
-    # pointwise Hessian; unequal per-axis sizes would also catch a swap of
+    # matrix_on evaluates aligned atoms per axis; its entries must equal
+    # the pointwise Hessian's under ==, an exact zero perhaps with the
+    # other sign; unequal per-axis sizes would also catch a swap of
     # broadcast shapes
     CUBE2 = Box((0.25, 0.5), (0.5, 0.75))
 
@@ -273,6 +280,50 @@ class TestGridEvaluation:
             assert atom.aligned_axis == axis
             assert_grid_matches_points(atom, (300, 300), seed=axis)
             assert_grid_matches_points(atom, (257, 131), seed=axis)
+
+    def test_aligned_against_the_axis(self):
+        # direction -e_a0 flips the sign of the mixed entries' e[a0]
+        for A in (np.diag([1.0, 2.0]), np.diag([2.0, 1.0])):
+            atom = build_atom(A, self.CUBE2, 0.1, 2, 1.5)
+            flipped = dataclasses.replace(atom, frame=-atom.frame)
+            assert flipped.direction[atom.aligned_axis] == -1.0
+            assert_grid_matches_points(flipped, (257, 131), seed=7)
+
+    def test_shaved_atom(self):
+        # a thin cell: the cutoff across the narrow axis forces shave < 1
+        cube = Box((0.0, 0.0), (0.05, 1.0))
+        atom = build_atom(np.diag([2.0, 1.0]), cube, 0.1, 2, 1.5)
+        assert atom.aligned_axis == 1 and atom.shave < 1.0
+        assert_grid_matches_points(atom, (131, 257), seed=8)
+
+    def test_nodes_on_breakpoints_and_collar_marks(self):
+        # every profile breakpoint of the train, the train ends, the
+        # collar marks and the cube faces, each a grid node, with the
+        # ramps' midpoints, where the mixed entries are nonzero
+        atom = build_atom(np.diag([1.0, 2.0]), self.CUBE2, 0.1, 2, 1.5)
+        a0, gc = atom.aligned_axis, atom.gamma_c
+        lo, edges = np.array(atom.cube.lo), np.array(atom.cube.edges)
+        center = lo + edges / 2.0
+        T = atom.train_extent
+        delta = T / atom.periods
+        b = profile_breakpoints(atom.gamma_s)
+        t = -T / 2.0 + delta * (np.arange(atom.periods)[:, None] + b[None, :])
+        marks = np.array([0.0, gc / 2.0, 0.75 * gc, gc, 0.5, 1.0 - gc,
+                          1.0 - 0.75 * gc, 1.0 - gc / 2.0, 1.0])
+        axes = [lo[a] + edges[a] * marks for a in range(2)]
+        axes[a0] = np.concatenate(
+            [[lo[a0]], center[a0] + np.unique(t), [lo[a0] + edges[a0]]]
+        )
+        assert_grid_matches_points(atom, None, grid=TensorGrid.product(axes))
+
+    def test_one_node_on_the_oscillation_axis(self):
+        # a chunk of the engine's grid may hold a single oscillation node
+        for A in (np.diag([1.0, 2.0]), np.diag([2.0, 1.0])):
+            atom = build_atom(A, self.CUBE2, 0.1, 2, 1.5)
+            sizes = [97, 97]
+            sizes[atom.aligned_axis] = 1
+            for seed in range(4):
+                assert_grid_matches_points(atom, sizes, seed=seed)
 
     def test_aligned_3d_two_collar_axes(self):
         # the cutoff's cross term couples the two collar axes

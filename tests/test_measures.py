@@ -476,3 +476,34 @@ class TestGluedField:
                             (quadratic_field, layerless)):
             with pytest.raises(TypeError, match=self.ACCEPTED):
                 weakstar_gap(f_j, f_prev, phi, 0.9, 1.0, k=2, j=1)
+
+
+def test_grid_kernel_matches_pointwise_hessian(quadratic_field, monkeypatch):
+    # an aligned atom's grid Hessian writes only its nonzero entries; with
+    # the pointwise Hessian in its place every measure and the stage
+    # certificate must read the same numbers (the measures at WCFG's
+    # budget, which keeps them cheap and still runs every grid chunk
+    # through matrix_on)
+    from degenhess.atom import PerturbationAtom
+
+    def readings():
+        run = run_construction(quadratic_field, 2, 1.5, 0.3, 0.1, 1,
+                               config=StairConfig(seed=11, tau=0.9))
+        f1, cert = run.stages[0].field, run.stages[0].certificate
+        assert not cert.stalled
+        m = ck_mass(f1, 2, cert.m_j, config=WCFG)
+        out = [cert.masses_prev, cert.masses_new, cert.mass_errs_prev,
+               cert.mass_errs_new, cert.I_new, cert.I_new_err,
+               m.masses, m.errors, sobolev_seminorm(f1, 1.5, config=WCFG)]
+        for _, phi in probe_family(2):
+            got = weakstar_gap(f1, run.base, phi, run.tau, run.mass_bound_K,
+                               k=2, j=1, config=WCFG)
+            out += [got.gap, got.quad_error]
+        return out
+
+    grid_kernel = readings()
+    monkeypatch.setattr(PerturbationAtom, "matrix_on",
+                        lambda self, grid: self.value_grad_hess(grid.points)[2])
+    pointwise = readings()
+    for got, want in zip(grid_kernel, pointwise):
+        assert np.array_equal(got, want)
