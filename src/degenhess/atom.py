@@ -312,133 +312,126 @@ class PerturbationAtom:
         edges = np.array(self.cube.edges)
         center = lo + edges / 2.0
         Xl = (X - lo) / edges
-        return self._jet((X - center) @ self.direction, Xl.T, (P,))
+        return self._jet((X - center) @ self.direction, Xl.T)
 
     def matrix_on(self, grid):
         """The Hessian at grid.points, (P, n, n).
 
-        On a tensor grid an aligned atom forms its profile factors once
-        per node of the oscillation axis and its cutoff factors once per
-        node of each collar axis, then writes only the entries that are
-        not zero by structure: the oscillation diagonal, the mixed row
-        and column, and the collar block. Each entry is the product _jet
-        forms, in its order, so it equals value_grad_hess's entry; only an
-        exact zero may differ in sign, which moves no integral. Rotated
-        atoms, zero atoms and scattered points go through value_grad_hess.
+        On a tensor grid the atom goes through _hessian, which forms each
+        entry as _jet does and in its order, so it equals value_grad_hess's
+        entry; for an aligned atom only an exact zero may differ in sign,
+        which moves no integral. Zero atoms and scattered points go
+        through value_grad_hess.
         """
-        a0 = self.aligned_axis
-        if (grid.axes is None or a0 is None or self.amplitude == 0.0
-                or self.periods == 0):
+        if grid.axes is None or self.amplitude == 0.0 or self.periods == 0:
             return self.value_grad_hess(grid.points)[2]
-        n = len(grid.axes)
+        return self._hessian(list(enumerate(grid.axes)), grid.points)
+
+    def _factors(self, t, unit):
+        """The profile factors (psi, psi1, psi2) at offsets t along the
+        direction, and the cutoff factors (c0s, c1s, c2s), dicts over the
+        collar axes, at the unit coordinates unit[a], derivatives taken in
+        the physical coordinate. The one place they are formed: _jet and
+        _hessian build their products from these, so their entries agree.
+        """
+        T = self.train_extent
+        delta = T / self.periods
+        in_train = np.abs(t) <= T / 2.0
+        u = (t + T / 2.0) / delta
+        u = u - np.floor(u)
+        w0, w1, w2 = profile_eval(np.clip(u, 0.0, 1.0), self.gamma_s)
+        w0[~in_train] = 0.0
+        w1[~in_train] = 0.0
+        w2[~in_train] = 0.0
+        psi = self.amplitude * delta * delta * w0
+        psi1 = self.amplitude * delta * w1
+        psi2 = self.amplitude * w2
+
+        edges = np.array(self.cube.edges)
+        c0s, c1s, c2s = {}, {}, {}
+        for a in self._collar_axes():
+            c0, c1, c2 = cutoff_eval(unit[a], self.gamma_c)
+            c0s[a] = c0
+            c1s[a] = c1 / edges[a]
+            c2s[a] = c2 / (edges[a] * edges[a])
+        return (psi, psi1, psi2), (c0s, c1s, c2s)
+
+    def _hessian(self, axes, X):
+        """The Hessian (P, n, n) on the product of the nodes of axes, a
+        list of (coordinate, nodes) over every coordinate, slowest first;
+        X lists the same points. Cutoff factors are formed once per node
+        of each collar axis. An aligned atom forms its profile factors
+        once per oscillation node and writes only the entries not zero by
+        structure: the oscillation diagonal, the mixed row and column, and
+        the collar block. A rotated atom projects X on its direction as
+        value_grad_hess does and writes every entry as (chi*psi2)*(e_i e_j)
+        + psi1*(gchi_i e_j + gchi_j e_i) + psi*hchi_ij.
+        """
+        n = self.cube.n
+        pos = {a: i for i, (a, _) in enumerate(axes)}
+        sizes = tuple(v.size for _, v in axes)
 
         def along(a, v):
             shape = [1] * n
-            shape[a] = v.size
+            shape[pos[a]] = v.size
             return v.reshape(shape)
 
         lo = np.array(self.cube.lo)
         edges = np.array(self.cube.edges)
         center = lo + edges / 2.0
         e = self.direction
-        # the factors _jet forms, per axis and in its order
-        t = along(a0, (grid.axes[a0] - center[a0]) * e[a0])
-        T = self.train_extent
-        delta = T / self.periods
-        in_train = np.abs(t) <= T / 2.0
-        u = (t + T / 2.0) / delta
-        u = u - np.floor(u)
-        w0, w1, w2 = profile_eval(np.clip(u, 0.0, 1.0), self.gamma_s)
-        w0[~in_train] = 0.0
-        w1[~in_train] = 0.0
-        w2[~in_train] = 0.0
-        psi = self.amplitude * delta * delta * w0
-        psi1 = self.amplitude * delta * w1
-        psi2 = self.amplitude * w2
+        a0 = self.aligned_axis
+        if a0 is None:
+            t = ((X - center) @ e).reshape(sizes)
+        else:
+            t = along(a0, (dict(axes)[a0] - center[a0]) * e[a0])
+        unit = {a: along(a, (v - lo[a]) / edges[a]) for a, v in axes}
+        (psi, psi1, psi2), (c0s, c1s, c2s) = self._factors(t, unit)
+        chi_psi2 = _prod_except(c0s, ()) * psi2
+        gchi = {a: c1s[a] * _prod_except(c0s, (a,)) for a in c0s}
 
-        collar = self._collar_axes()
-        shape = tuple(1 if a == a0 else v.size for a, v in enumerate(grid.axes))
-        c0s, c1s, c2s = {}, {}, {}
-        for a in collar:
-            Xl = along(a, (grid.axes[a] - lo[a]) / edges[a])
-            c0, c1, c2 = cutoff_eval(Xl, self.gamma_c)
-            c0s[a] = c0
-            c1s[a] = c1 / edges[a]
-            c2s[a] = c2 / (edges[a] * edges[a])
+        def hchi(i, j):
+            if i == j:
+                return c2s[i] * _prod_except(c0s, (i,))
+            return c1s[i] * c1s[j] * _prod_except(c0s, (i, j))
 
-        def prod_except(skip):
-            out = np.ones(shape)
-            for a in collar:
-                if a not in skip:
-                    out = out * c0s[a]
-            return out
-
-        H = np.zeros(tuple(v.size for v in grid.axes) + (n, n))
-        np.multiply(prod_except(()) * psi2, e[a0] * e[a0],
-                    out=H[..., a0, a0])
-        for b in collar:
-            rest = prod_except((b,))
-            np.multiply(psi1, c1s[b] * rest * e[a0], out=H[..., a0, b])
-            H[..., b, a0] = H[..., a0, b]
-            np.multiply(psi, c2s[b] * rest, out=H[..., b, b])
-        for b, c in combinations(collar, 2):
-            np.multiply(psi, c1s[b] * c1s[c] * prod_except((b, c)),
-                        out=H[..., b, c])
-            H[..., c, b] = H[..., b, c]
+        H = np.zeros(sizes + (n, n))
+        for i in range(n):
+            for j in range(i, n):
+                out = H[..., i, j]
+                if a0 is None:
+                    np.add(chi_psi2 * (e[i] * e[j])
+                           + psi1 * (gchi[i] * e[j] + gchi[j] * e[i]),
+                           psi * hchi(i, j), out=out)
+                elif i == j == a0:
+                    np.multiply(chi_psi2, e[a0] * e[a0], out=out)
+                elif a0 in (i, j):
+                    np.multiply(psi1, gchi[i + j - a0] * e[a0], out=out)
+                else:
+                    np.multiply(psi, hchi(i, j), out=out)
+                H[..., j, i] = out
         return H.reshape(-1, n, n)
 
-    def _jet(self, t, Xl, shape):
-        """Value, gradient and Hessian of the atom from the offsets t along
-        its direction and the unit coordinates Xl[a] of each collar axis.
+    def _jet(self, t, Xl):
+        """Value, gradient and Hessian of the atom from the offsets t (P,)
+        along its direction and the unit coordinates Xl[a] (P,) of each
+        collar axis.
 
-        value_grad_hess passes per-point arrays of shape (P,). matrix_on's
-        grid kernel forms the Hessian's nonzero products as this does and
-        in its order, so its entries equal these.
+        The factors come from _factors, which _hessian shares, and each
+        Hessian entry is the sum of the three terms that _hessian writes
+        for a rotated atom, in the same order.
         """
         n = self.cube.n
         e = self.direction
-        T = self.train_extent
-        delta = T / self.periods
-        in_train = np.abs(t) <= T / 2.0
-        u = (t + T / 2.0) / delta
-        u = u - np.floor(u)
-        w0, w1, w2 = profile_eval(np.clip(u, 0.0, 1.0), self.gamma_s)
-        w0[~in_train] = 0.0
-        w1[~in_train] = 0.0
-        w2[~in_train] = 0.0
-        psi = self.amplitude * delta * delta * w0
-        psi1 = self.amplitude * delta * w1
-        psi2 = self.amplitude * w2
-
-        edges = np.array(self.cube.edges)
-        collar = self._collar_axes()
-        c0s = {}
-        c1s = {}
-        c2s = {}
-        for a in collar:
-            c0, c1, c2 = cutoff_eval(Xl[a], self.gamma_c)
-            c0s[a] = c0
-            c1s[a] = c1 / edges[a]
-            c2s[a] = c2 / (edges[a] * edges[a])
-        chi = np.ones(shape)
-        for a in collar:
-            chi = chi * c0s[a]
-
-        def prod_except(skip):
-            out = np.ones(shape)
-            for a in collar:
-                if a not in skip:
-                    out = out * c0s[a]
-            return out
-
-        gchi = np.zeros(shape + (n,))
-        for a in collar:
-            gchi[..., a] = c1s[a] * prod_except((a,))
-        hchi = np.zeros(shape + (n, n))
-        for a in collar:
-            hchi[..., a, a] = c2s[a] * prod_except((a,))
-        for a, b2 in combinations(collar, 2):
-            cross = c1s[a] * c1s[b2] * prod_except((a, b2))
+        (psi, psi1, psi2), (c0s, c1s, c2s) = self._factors(t, Xl)
+        chi = _prod_except(c0s, ())
+        gchi = np.zeros(t.shape + (n,))
+        hchi = np.zeros(t.shape + (n, n))
+        for a in c0s:
+            gchi[..., a] = c1s[a] * _prod_except(c0s, (a,))
+            hchi[..., a, a] = c2s[a] * _prod_except(c0s, (a,))
+        for a, b2 in combinations(c0s, 2):
+            cross = c1s[a] * c1s[b2] * _prod_except(c0s, (a, b2))
             hchi[..., a, b2] = cross
             hchi[..., b2, a] = cross
 
@@ -453,6 +446,15 @@ class PerturbationAtom:
             + psi[..., None, None] * hchi
         )
         return val, grad, hess
+
+
+def _prod_except(c0s, skip):
+    """Product of the cutoff values c0s[a] over the axes not in skip."""
+    out = 1.0
+    for a, c0 in c0s.items():
+        if a not in skip:
+            out = out * c0
+    return out
 
 
 def zero_atom(cube, eps0=0.0):
@@ -813,31 +815,38 @@ def _collar_nodes(gamma_c, ramp_panels, zero_panels, level, points):
     return np.concatenate([ln, rn]), np.concatenate([lw, rw])
 
 
-def _region_sum(axes, base_point, scale, integrand, chunk, n):
-    sizes = [len(a[1]) for a in axes]
-    rest = int(np.prod(sizes[1:])) if len(sizes) > 1 else 1
-    block = max(1, chunk // max(rest, 1))
+def _region_sum(atom, axes, scale, integrand, chunk):
+    """Weighted sums of integrand's two rows over one tensor-product region.
+
+    axes lists (coordinate, nodes, weights) for every coordinate, the
+    first slowest. Each block of whole first-axis rows, at most chunk
+    points, takes its Hessian from atom._hessian in that point order; a
+    rotated atom also gets the block's point array, since its projections
+    depend in the last bit on the array they are taken on.
+    """
+    n = len(axes)
+    rest = int(np.prod([len(a[1]) for a in axes[1:]]))
+    block = max(1, chunk // rest)
+    first_axis, first_nodes, first_w = axes[0]
+    rest_pts = TensorGrid.product([a[1] for a in axes[1:]]).points
+    rest_w = np.ones(rest)
+    for wg in np.meshgrid(*[a[2] for a in axes[1:]], indexing="ij"):
+        rest_w = rest_w * wg.ravel()
     acc_mass = 0.0
     acc_pow = 0.0
-    first_axis, first_nodes, first_w = axes[0]
-    if len(axes) > 1:
-        rest_grids = np.meshgrid(*[a[1] for a in axes[1:]], indexing="ij")
-        rest_pts = np.stack([g.ravel() for g in rest_grids], axis=-1)
-        rest_w = np.ones(rest)
-        for wg in np.meshgrid(*[a[2] for a in axes[1:]], indexing="ij"):
-            rest_w = rest_w * wg.ravel()
     for s in range(0, len(first_nodes), block):
         nb = first_nodes[s : s + block]
         wb = first_w[s : s + block]
-        X = np.tile(base_point, (len(nb), rest, 1))
-        X[:, :, first_axis] = nb[:, None]
-        if len(axes) > 1:
+        X = None
+        if atom.aligned_axis is None:
+            X = np.empty((len(nb), rest, n))
+            X[:, :, first_axis] = nb[:, None]
             for j, (ax, _, _) in enumerate(axes[1:]):
                 X[:, :, ax] = rest_pts[None, :, j]
-            W = (wb[:, None] * rest_w[None, :]).ravel() * scale
-        else:
-            W = wb * scale
-        mass_v, pow_v = integrand(X.reshape(-1, n))
+            X = X.reshape(-1, n)
+        H = atom._hessian([(first_axis, nb)] + [a[:2] for a in axes[1:]], X)
+        W = (wb[:, None] * rest_w[None, :]).ravel() * scale
+        mass_v, pow_v = integrand(H)
         acc_mass += float(W @ mass_v)
         acc_pow += float(W @ pow_v)
     return acc_mass, acc_pow
@@ -879,7 +888,10 @@ def _aligned_totals(atom, integrand, level, points, chunk):
                 vn, vw = _collar_nodes(gc, ramp, zero, level, points)
                 axes.append((a, lo[a] + edges[a] * vn, edges[a] * vw))
                 axis_nodes[a] = max(axis_nodes.get(a, 0), len(vn))
-            m, pw = _region_sum(axes, center, scale, integrand, chunk, n)
+            # interior axes: one node at the centre, of weight one
+            axes += [(a, center[a:a + 1], np.ones(1))
+                     for a in collar if a not in S]
+            m, pw = _region_sum(atom, axes, scale, integrand, chunk)
             mass += m
             power += pw
     resolution = tuple(axis_nodes[a] for a in range(n))
@@ -890,7 +902,6 @@ def _tensor_totals(atom, integrand, level, points, chunk):
     n = atom.cube.n
     lo = np.array(atom.cube.lo)
     edges = np.array(atom.cube.edges)
-    center = lo + edges / 2.0
     e = atom.direction
     T = atom.train_extent
     panels = [
@@ -910,21 +921,25 @@ def _tensor_totals(atom, integrand, level, points, chunk):
         nodes, weights = _panel_nodes(_split_edges(base, 2 ** level), points)
         axes.append((a, nodes, weights))
         resolution.append(len(nodes))
-    m, pw = _region_sum(axes, center, 1.0, integrand, chunk, n)
+    m, pw = _region_sum(atom, axes, 1.0, integrand, chunk)
     return m, pw, tuple(resolution)
 
 
 # Gauss points per panel axis, and integrand points per evaluation block,
-# of the certificate integrals
+# of the certificate integrals. Each block adds one partial dot product
+# to a region's sums, so another block size moves the trailing digits of
+# the integrals and of tau_err.
 _QUAD_POINTS = 4
 _QUAD_CHUNK = 1 << 19
 
 
 def _atom_integrals(atom, A, k, p):
+    """Mass and power integrals of C_k(A + D^2 g), from the Hessian alone:
+    level-1 values, their differences from level 0 as errors, and the
+    level-1 resolution."""
     expo = p / k
 
-    def integrand(X):
-        _, _, hess = atom.value_grad_hess(X)
+    def integrand(hess):
         vals = ck(A[None, :, :] + hess, k)
         return vals, vals ** expo
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from degenhess.atom import (
     AtomTuningError,
     CERTIFICATE_COLUMNS,
     CERTIFICATION_SUITE,
+    PerturbationAtom,
     build_atom,
     build_vector_atom,
     certification_bound,
@@ -428,6 +430,60 @@ class TestCertify:
         r1 = certify_atom(atom, np.eye(2), 2, 1.5).csv_row()
         r2 = certify_atom(atom, np.eye(2), 2, 1.5).csv_row()
         assert r1 == r2
+
+    def test_hessian_kernel_matches_pointwise(self, monkeypatch):
+        # the certificate integrals take the Hessian from the grid kernel;
+        # with value_grad_hess at the same points in its place every
+        # certificate field must read the same
+        cube = Box((0.25, 0.5), (0.5, 0.75))
+        diag12, diag21 = np.diag([1.0, 2.0]), np.diag([2.0, 1.0])
+        tilt = np.array([[1.2, -0.4], [-0.4, 0.8]])
+        thin = Box((0.0, 0.0), (0.05, 1.0))
+        diag3 = np.diag([0.5, 1.0, 2.0])
+        atom = build_atom(diag12, cube, 0.1, 2, 1.5)
+        flipped = dataclasses.replace(atom, frame=-atom.frame)
+        cases = [
+            (atom, diag12, 2, 1.5),
+            (build_atom(diag21, cube, 0.1, 2, 1.5), diag21, 2, 1.5),
+            (flipped, diag12, 2, 1.5),
+            (build_atom(diag21, thin, 0.1, 2, 1.5), diag21, 2, 1.5),
+            (build_atom(diag3, Box.unit(3), 0.1, 3, 1.5,
+                        AtomParams(periods=8)), diag3, 3, 1.5),
+            (build_atom(tilt, cube, 0.1, 2, 1.0), tilt, 2, 1.0),
+            (zero_atom(cube, 0.1), diag12, 2, 1.5),
+        ]
+        assert [c[0].aligned_axis for c in cases] == [0, 1, 0, 1, 0, None, 0]
+        assert flipped.direction[0] == -1.0 and cases[3][0].shave < 1.0
+        assert cases[6][0].is_zero
+        kernel = [certify_atom(*c) for c in cases]
+        calls = []
+
+        def pointwise(self, axes, X):
+            calls.append(len(axes))
+            order = np.argsort([a for a, _ in axes])
+            pts = TensorGrid.product([v for _, v in axes]).points[:, order]
+            return self.value_grad_hess(pts)[2]
+
+        monkeypatch.setattr(PerturbationAtom, "_hessian", pointwise)
+        for case, got in zip(cases, kernel):
+            calls.clear()
+            want = certify_atom(*case)
+            assert bool(calls) != case[0].is_zero
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    def test_certify_memory(self):
+        # the certificate integrals hold a block's Hessian, not the
+        # value, gradient and broadcast Hessian terms of a point array
+        A = np.diag([0.7, 1.8])
+        atom = build_atom(A, Box.unit(2), 0.1, 2, 1.5)
+        tracemalloc.start()
+        try:
+            certify_atom(atom, A, 2, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestSuiteRows:
