@@ -16,7 +16,7 @@ flags per property.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -503,7 +503,7 @@ def _probe_grid(atom):
     b = profile_breakpoints(atom.gamma_s)
     phases = np.concatenate([np.linspace(b[i], b[i + 1], 9) for i in range(7)])
     if aligned_axis is not None:
-        T = (1.0 - 2.0 * gc) * edges[aligned_axis]
+        T = atom.train_extent
         delta = T / periods
         t_vals = -T / 2.0 + delta * ((periods // 2) + phases)
         axis_vals = []
@@ -524,7 +524,7 @@ def _probe_grid(atom):
     )
     per_axis = np.unique(np.concatenate([frac, 1.0 - frac]))
     Xs = TensorGrid.product([lo[a] + edges[a] * per_axis for a in range(n)]).points
-    T = float(np.abs(e) @ edges)
+    T = atom.train_extent
     delta = T / periods
     t_targets = -T / 2.0 + delta * ((periods // 2) + phases)
     ramp = gc / 2.0 + (gc / 2.0) * np.array([0.25, 0.4, 0.5, 0.6, 0.75])
@@ -640,50 +640,6 @@ def build_atom(A, Q, eps0, k, p, params=None):
 # ------------------------------------------------- certification
 
 
-CERTIFICATE_COLUMNS = (
-    "dim",
-    "k",
-    "p",
-    "eps0",
-    "tau_bound",
-    "periods",
-    "axis_index",
-    "eigenvalue",
-    "amplitude",
-    "shave",
-    "gamma_s",
-    "gamma_c",
-    "amp_cap",
-    "zero_atom",
-    "base_ck",
-    "base_opnorm",
-    "sup_value",
-    "sup_gradient",
-    "sup_c1",
-    "sup_hessian",
-    "compat_ratio",
-    "boundary_max",
-    "mass_base",
-    "mass_meas",
-    "mass_err",
-    "power_base",
-    "power_meas",
-    "power_err",
-    "tau_meas",
-    "tau_err",
-    "drift_mean",
-    "drift_err",
-    "min_axis_nodes",
-    "samples",
-    "pass_support",
-    "pass_c1",
-    "pass_hessian_cap",
-    "pass_compat",
-    "pass_contraction",
-    "pass_drift",
-)
-
-
 @dataclass(frozen=True)
 class AtomCertificate:
     """Measured properties of one atom against its frozen matrix.
@@ -756,10 +712,7 @@ class AtomCertificate:
     def csv_row(self):
         out = []
         for name in CERTIFICATE_COLUMNS:
-            if name == "min_axis_nodes":
-                v = self.min_axis_nodes
-            else:
-                v = getattr(self, name)
+            v = getattr(self, name)
             if isinstance(v, (bool, np.bool_)):
                 out.append("1" if v else "0")
             elif isinstance(v, (int, np.integer)):
@@ -767,6 +720,14 @@ class AtomCertificate:
             else:
                 out.append("%.17g" % float(v))
         return out
+
+
+# the CSV and CLI column order: the certificate's fields, with resolution
+# reported as its smallest entry
+CERTIFICATE_COLUMNS = tuple(
+    "min_axis_nodes" if f.name == "resolution" else f.name
+    for f in dataclass_fields(AtomCertificate)
+)
 
 
 def _split_edges(edges, factor):

@@ -22,7 +22,7 @@ import numpy as np
 
 from degenhess.atom import CERTIFICATE_COLUMNS, tune_atom
 from degenhess.config import ConfigError, parse_config
-from degenhess.fields import Cell, dump_grid
+from degenhess.fields import Box, dump_grid
 from degenhess.invariants import ck, fro_norm, lk, op_norm, singular_values
 from degenhess.report import soft_failures, write_run_dir
 from degenhess.staircase import default_tau, run_construction
@@ -107,14 +107,17 @@ def _build_parser():
     return top
 
 
+def _run_config(cfg):
+    return run_construction(
+        cfg.build_field(), cfg.k, cfg.p, cfg.alpha, cfg.eps, cfg.J,
+        config=cfg.stair_config(),
+    )
+
+
 def _cmd_run(args, out):
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    field = cfg.build_field()
-    result = run_construction(
-        field, cfg.k, cfg.p, cfg.alpha, cfg.eps, cfg.J,
-        config=cfg.stair_config(),
-    )
+    result = _run_config(cfg)
     paths = write_run_dir(result, cfg, cfg.out_dir)
     fails = soft_failures(result)
     out.write(f"run directory: {cfg.out_dir}\n")
@@ -139,9 +142,8 @@ def _cmd_certify_atom(args, out):
     if args.eps0 <= 0.0:
         raise ValueError("eps0 must be positive")
 
-    cell = Cell((0,) * n, (0.0,) * n, (1.0,) * n)
     target = default_tau(args.k, args.p)
-    outcome = tune_atom(A, cell.box, args.eps0, args.k, args.p, target)
+    outcome = tune_atom(A, Box.unit(n), args.eps0, args.k, args.p, target)
     cert = outcome.certificate
     out.write(f"tau_target = {_g(target)}\n")
     out.write(f"tuning_steps = {len(outcome.history)}\n")
@@ -181,11 +183,7 @@ def _cmd_dump(args, out):
         raise ValueError(f"cannot read run config: {exc}") from None
     # the config echo plus the seed pins the whole run, so re-running is
     # the deterministic way to recover any stage field
-    field = cfg.build_field()
-    result = run_construction(
-        field, cfg.k, cfg.p, cfg.alpha, cfg.eps, cfg.J,
-        config=cfg.stair_config(),
-    )
+    result = _run_config(cfg)
     stage = len(result.stages) if args.stage is None else args.stage
     if not 0 <= stage <= len(result.stages):
         raise ValueError(

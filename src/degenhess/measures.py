@@ -142,28 +142,29 @@ def _check_layered(*fields):
 def _level(level, *fields):
     """The partition level of a measure of the fields.
 
-    None picks the finest committed stage partition, 4 without layers.
-    Otherwise the level must be a positive integer that divides or is a
-    multiple of every committed stage partition, so that no cube
-    boundary crosses an atom's train.
+    The level must be a positive integer multiple of every committed stage
+    partition's cells per axis, so that no cube boundary crosses an atom's
+    train. None picks their least common multiple (the finest stage
+    partition, which refines the others), 4 without layers.
     """
     ms = [layer.partition.m for f in fields for layer in f.layers]
     if level is None:
-        return max(ms, default=4)
+        return math.lcm(*ms) if ms else 4
     if not isinstance(level, numbers.Integral) or level < 1:
         raise ValueError("level must be a positive integer")
     for m in ms:
-        if level % m != 0 and m % level != 0:
-            raise ValueError(f"level {level} incompatible with stage partition {m}")
+        if level % m:
+            raise ValueError(f"level {level} incompatible with stage "
+                             f"partition {m}; sum the cells of a finer level")
     return int(level)
 
 
 def ck_mass(f, k, level, *, config=None):
     """Per-cube quadrature of C_k of the field's matrix at a level grid.
 
-    The level must be compatible with any committed stage partitions
-    (one must divide the other) so cube boundaries never cross atom
-    supports.
+    The level must be a multiple of every committed stage partition
+    (_level), so cube boundaries never cross atom supports; a coarser
+    level's masses are sums of a finer level's cells.
     """
     _check_layered(f)
     level = _level(level, f)

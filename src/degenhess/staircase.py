@@ -327,46 +327,30 @@ def _layer_atoms(field):
 
 
 def _layer_lookup(layers, partition, cell):
-    """Per layer, what covers one cell of the partition.
+    """Per layer, the atom that covers one cell of the partition.
 
-    Yields (layer, atom, nested). atom is the layer's atom at the cell
-    center. nested says that the cell lies inside that atom's cell of the
-    layer partition. The partition and every layer's tile the field's
-    box, so this is decided from the partition sizes, not by a float
-    test, and on the interior of the cell the atom alone is the layer.
+    Yields (layer, atom). Every layer nests in the partition
+    (_check_nesting), so the cell lies inside the atom's cell of the layer
+    partition, the atom follows from the cell index alone, and on the
+    interior of the cell the atom alone is the layer.
     """
-    center = np.asarray(cell.center)[None, :]
     for layer in layers:
         part = layer.partition
-        nested = partition.m % part.m == 0
-        if nested:
-            idx = tuple(i // (partition.m // part.m) for i in cell.index)
-        else:
-            idx = tuple(part.locate(center)[0])
+        idx = tuple(i // (partition.m // part.m) for i in cell.index)
         flat = int(np.ravel_multi_index(idx, (part.m,) * part.n))
-        yield layer, layer.atoms[flat], nested
+        yield layer, layer.atoms[flat]
 
 
-def _atoms_at_cell(field, partition, cell):
-    """Committed-layer atoms whose breakpoints the cell's panels snap to.
-
-    Besides the atom at the cell center, a layer the cell is not nested in
-    (a ck_mass level coarser than the stage partition) gives every atom
-    whose cube center lies inside the cell, so all their trains resolve.
-    """
-    lo, hi = np.array(cell.lo), np.array(cell.hi)
-    out = []
-    for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
-        atoms = [atom]
-        if not nested:
-            centers = layer.partition.centers()
-            inside = ((centers > lo) & (centers < hi)).all(axis=1)
-            atoms += [
-                layer.atoms[i] for i in np.flatnonzero(inside)
-                if layer.atoms[i] is not atom
-            ]
-        out.extend(a.scalar for a in atoms if not a.is_zero)
-    return out
+def _check_nesting(fields, partition):
+    """ValueError unless the partition tiles each field's box and its cells
+    per axis are a multiple of every committed layer's."""
+    for f in fields:
+        if partition.box != f.box:
+            raise ValueError("the partition must tile the field's box")
+        for layer in f.layers:
+            if partition.m % layer.partition.m:
+                raise ValueError(f"a layer of {layer.partition.m} cells per "
+                                 f"axis does not nest in {partition.m}")
 
 
 class _CellMatrix:
@@ -376,9 +360,9 @@ class _CellMatrix:
     grid.points. They equal _matrix_many there, without its global
     dispatch: the layers are added in the order evaluate_many sums them,
     so entries are equal (an exact zero may differ in sign) and integrals
-    bitwise the same. A nested layer contributes its covering atom only,
-    through the atom's matrix_on, and nothing when that atom is zero; any
-    other layer keeps its own dispatch. A base whose matrix is constant by
+    bitwise the same. Every layer nests in the partition, so a layer
+    contributes its covering atom only, through the atom's matrix_on, and
+    nothing when that atom is zero. A base whose matrix is constant by
     construction exposes it as constant_matrix, which is broadcast instead
     of evaluating values and gradients; when no layer contributes either,
     constant holds it.
@@ -386,14 +370,11 @@ class _CellMatrix:
 
     def __init__(self, field, partition, cell):
         base = field.base
-        self.terms = []
-        for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
-            if not nested:
-                self.terms.append(
-                    lambda grid, layer=layer: layer.jet_many(grid.points)[-1]
-                )
-            elif not atom.is_zero:
-                self.terms.append(atom.matrix_on)
+        self.terms = [
+            atom.matrix_on
+            for _, atom in _layer_lookup(field.layers, partition, cell)
+            if not atom.is_zero
+        ]
         const = getattr(base, "constant_matrix", None)
         self.constant = None if self.terms else const
         if const is not None:
@@ -768,21 +749,19 @@ def _cell_class(field, partition, cell, new_atom=None):
     """The cell's translation class for a partition quadrature, or None.
 
     Decided from structure, never by comparing integrals: with a base
-    whose matrix is constant by construction and every layer nested in
-    the partition, the frozen matrix on the cell is that constant plus
-    each layer's covering atom, placed at the cell's offset inside the
-    atom's layer cell. Cells with equal keys then see translated copies
-    of one integrand and one panel layout, the stage's new atom on the
-    cell included when there is one, so their integrals agree up to
-    rounding. None means the cell is integrated on its own.
+    whose matrix is constant by construction, the frozen matrix on the
+    cell is that constant plus each layer's covering atom, placed at the
+    cell's offset inside the atom's layer cell. Cells with equal keys
+    then see translated copies of one integrand and one panel layout, the
+    stage's new atom on the cell included when there is one, so their
+    integrals agree up to rounding. None, for any other base, means the
+    cell is integrated on its own.
     """
     const = getattr(field.base, "constant_matrix", None)
     if const is None:
         return None
     key = [np.asarray(const, dtype=float).tobytes()]
-    for layer, atom, nested in _layer_lookup(field.layers, partition, cell):
-        if not nested:
-            return None
+    for layer, atom in _layer_lookup(field.layers, partition, cell):
         per = partition.m // layer.partition.m
         key.append((_atom_shape(atom), tuple(i % per for i in cell.index)))
     if new_atom is not None:
@@ -799,18 +778,22 @@ def partition_integrals(fields, partition, integrand, nout, config,
     TensorGrid of points inside the cell, it gives their (P, n, n)
     matrices, equal to the field's evaluate_many (an exact zero may
     differ in sign, integrals are bitwise the same); its ck(M, k) gives
-    C_k of them. Each integrated cell's panels snap to the breakpoints
-    of every field's committed atoms that reach it, each atom once, so
-    the order of the fields does not move them, and, when new_atoms (one
-    per cell) is given, of its new atom. The StairConfig supplies the
-    Gauss points and the node budget; classes, one _cell_class key per
-    cell, is passed through. Returns (values, errors, QuadratureCounts),
-    values and errors of shape (cells, nout) in row-major cell order.
+    C_k of them. Every committed layer must nest in the partition, else
+    ValueError (_check_nesting). Each integrated cell's panels snap to
+    the breakpoints of the committed atoms that cover it, each atom once,
+    so the order of the fields does not move them, and, when new_atoms
+    (one per cell) is given, of its new atom. The StairConfig supplies
+    the Gauss points and the node budget; classes, one _cell_class key
+    per cell, is passed through. Returns (values, errors,
+    QuadratureCounts), values and errors of shape (cells, nout) in
+    row-major cell order.
     """
+    _check_nesting(fields, partition)
 
     def edges(ci, cell):
         atoms = list({
-            id(a): a for f in fields for a in _atoms_at_cell(f, partition, cell)
+            id(a.scalar): a.scalar for f in fields
+            for _, a in _layer_lookup(f.layers, partition, cell) if not a.is_zero
         }.values())
         if new_atoms is not None and not new_atoms[ci].is_zero:
             atoms.append(new_atoms[ci].scalar)
@@ -863,11 +846,9 @@ def field_invariant_integrals(field, partition, k, q=None, config=None):
 
     Same breakpoint-aligned panels the stage certificates use, so totals
     computed here are comparable with certificate integrals at matching
-    partitions. The partition tiles the field's box, as every layer's
-    does. Returns (masses, powers, mass_errors, power_errors).
+    partitions, which every committed layer must nest in (ValueError
+    otherwise). Returns (masses, powers, mass_errors, power_errors).
     """
-    if partition.box != field.box:
-        raise ValueError("the partition must tile the field's box")
     config = config or StairConfig()
     q = q if q is not None else float(k)
     vals, errs, _ = partition_integrals(
@@ -959,7 +940,8 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_cert=None,
 
     Returns (atoms, f_j, StageCertificate). prev_cert, the previous
     stage's certificate, carries its per-cube masses so a stalled stage
-    can reproduce them bitwise instead of re-integrating.
+    can reproduce them bitwise instead of re-integrating. A stage
+    partition that a layer of f_prev does not nest in raises ValueError.
     """
     config = config or StairConfig()
     vector = isinstance(f_prev, VectorFieldC1)
@@ -970,6 +952,7 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_cert=None,
     box = f_prev.box
     n = box.n
     partition = CubePartition(box, schedule.m_j)
+    _check_nesting((f_prev,), partition)
     cells = list(partition.cells())
     ncells = len(cells)
     vol = partition.cell_volume
@@ -1215,9 +1198,10 @@ def run_stage(f_prev, schedule, k, p, config=None, prev_cert=None,
 
 def _base_seminorm_qq(field, q, config):
     """Integral of the q-th power of the base matrix's operator norm over
-    the box, with its error bar, on an 8-per-axis partition whose cells
-    share quadrature by translation class."""
-    partition = CubePartition(field.box, 8)
+    the box, with its error bar, on 8 cells per axis (or a multiple the
+    base's own layers nest in) sharing quadrature by translation class."""
+    ms = (layer.partition.m for layer in field.layers)
+    partition = CubePartition(field.box, math.lcm(8, *ms))
 
     def integrand(ci, cell, matrix):
         return lambda grid: (op_norm(matrix(grid)) ** q)[None]
@@ -1252,7 +1236,8 @@ def _run_loop(f0, k, p, alpha, eps, J, config):
     base_qq, base_qq_err = _base_seminorm_qq(f0, q, config)
     f = f0
     stages = []
-    m_prev = 1
+    # every stage partition refines the base's own layers, if it has any
+    m_prev = math.lcm(*(layer.partition.m for layer in f0.layers))
     cache = {}
     fields_chain = [f0]
     for j in range(1, J + 1):

@@ -10,6 +10,7 @@ import numpy as np
 import degenhess
 from degenhess.config import _ALL_KEYS
 from degenhess.atom import (
+    CERTIFICATE_COLUMNS,
     PerturbationAtom,
     VectorAtom,
     build_atom,
@@ -120,6 +121,16 @@ def test_readme_key_table_matches_grammar():
     rows = re.findall(r"^\|([^|]*)\|", table.split("\n\n")[0], re.M)
     keys = {k for row in rows[2:] for k in re.findall(r"`(\w+)`", row)}
     assert keys == set(_ALL_KEYS)
+
+
+def test_readme_csv_columns_match_the_certificate():
+    # the README's column block, against the order stage CSVs and
+    # certify-atom print: a reordered or renamed certificate field fails
+    text = README.read_text()
+    block = re.search(r"## CSV columns\n.*?```\n(.*?)```", text, re.S)
+    assert tuple(block.group(1).replace("\n", "").split(",")) == (
+        CERTIFICATE_COLUMNS
+    )
 
 
 def load_tracer():

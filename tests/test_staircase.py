@@ -310,20 +310,14 @@ def _cell_grids(cell, rng):
 
 def _check_cell_matrix(field, m):
     """_CellMatrix equals _matrix_many on every cell of the m-partition,
-    on scattered points and on a tensor grid; returns whether some layer
-    took its own dispatch (not nested)."""
+    on scattered points and on a tensor grid."""
     partition = CubePartition(field.box, m)
     rng = np.random.default_rng(m)
-    fallback = False
     for cell in partition.cells():
         matrix = _CellMatrix(field, partition, cell)
         for grid in _cell_grids(cell, rng):
             got = matrix(grid)
             assert np.array_equal(got, _matrix_many(field, grid.points)), cell.index
-        fallback |= not all(
-            nested for _, _, nested in _layer_lookup(field.layers, partition, cell)
-        )
-    return fallback
 
 
 class TestCellMatrix:
@@ -331,21 +325,13 @@ class TestCellMatrix:
         fields = [quadratic_run.base] + [rec.field for rec in quadratic_run.stages]
         for f, rec in zip(fields, quadratic_run.stages):
             m = rec.schedule.m_j
-            assert not _check_cell_matrix(f, m)
-            assert not _check_cell_matrix(rec.field, m)
-
-    def test_level_coarser_than_the_stage_partition(self, quadratic_run):
-        # a ck_mass level that spans several stage cells falls back to the
-        # layer's own dispatch
-        m = quadratic_run.stages[0].schedule.m_j
-        assert m % 2 == 0
-        assert _check_cell_matrix(quadratic_run.field, m // 2)
+            _check_cell_matrix(f, m)
+            _check_cell_matrix(rec.field, m)
 
     def test_first_order_field(self, identity_first_order_run):
         rec = identity_first_order_run.stages[0]
         assert len(rec.field.layers) == 1
-        assert not _check_cell_matrix(rec.field, rec.schedule.m_j)
-        assert _check_cell_matrix(rec.field, 1)
+        _check_cell_matrix(rec.field, rec.schedule.m_j)
 
 
 def test_constant_cell_matrix_takes_ck_once(quadratic_run):
@@ -372,8 +358,7 @@ def test_constant_cell_matrix_takes_ck_once(quadratic_run):
     rec = quadratic_run.stages[0]
     partition = CubePartition(rec.field.box, rec.schedule.m_j)
     for cell in partition.cells():
-        (_, atom, nested), = _layer_lookup(rec.field.layers, partition, cell)
-        assert nested
+        (_, atom), = _layer_lookup(rec.field.layers, partition, cell)
         constant = _CellMatrix(rec.field, partition, cell).constant
         assert (constant is None) == (not atom.is_zero)
 
@@ -500,16 +485,6 @@ class TestClassQuadrature:
                 # run_stage took the same shared pass
                 assert np.array_equal(v1[:, 1], rec.certificate.masses_new)
 
-    def test_coarser_partition_has_no_class(self, quadratic_run):
-        field = quadratic_run.field
-        m = quadratic_run.stages[0].schedule.m_j
-        coarse = CubePartition(field.box, m // 2)
-        for cell in coarse.cells():
-            assert _cell_class(field, coarse, cell, zero_atom(cell.box)) is None
-        nested = CubePartition(field.box, m)
-        cell = nested.cell((1, 2))
-        assert _cell_class(field, nested, cell, zero_atom(cell.box)) is not None
-
     def test_report_lines(self, quadratic_run):
         text = run_report_text(quadratic_run)
         assert "live_stages = 1 of 4" in text
@@ -565,6 +540,42 @@ class TestQuadratureEngine:
         half = CubePartition(Box((0.0, 0.0), (0.5, 0.5)), 2)
         with pytest.raises(ValueError, match="tile the field's box"):
             staircase.field_invariant_integrals(f, half, 2)
+
+    def test_partition_must_nest_every_layer(self, quadratic_run):
+        # a partition coarser than a committed layer's, or finer but not a
+        # multiple of it, raises at every entry to the stage quadrature
+        field = quadratic_run.field
+        m = quadratic_run.stages[0].schedule.m_j
+        assert [layer.partition.m for layer in field.layers] == [m]
+        config = StairConfig(quad_points=2)
+        for m_bad in (m // 2, m + 2):
+            partition = CubePartition(field.box, m_bad)
+            with pytest.raises(ValueError, match="does not nest"):
+                partition_integrals(
+                    (quadratic_run.base, field), partition,
+                    lambda ci, cell, *matrices: None, 1, config,
+                )
+            with pytest.raises(ValueError, match="does not nest"):
+                staircase.field_invariant_integrals(field, partition, 2)
+            stalled = _stalled_schedule(m_bad)
+            for schedule in (stalled, replace(stalled, stalled=False)):
+                with pytest.raises(ValueError, match="does not nest"):
+                    run_stage(field, schedule, 2, 1.5, config=config)
+
+    def test_base_layers_nest_in_every_stage_partition(self):
+        # a base with a committed layer of its own, 3 cells per axis, which
+        # does not divide the base seminorm's 8 nor stage 1's 4
+        part = CubePartition(UNIT_BOX, 3)
+        w = unit_quadratic().with_layers(
+            [StagePerturbation(part, [zero_atom(c.box) for c in part.cells()])]
+        )
+        res = run_construction(
+            w, 2, 1.5, 0.3, 0.3, 1,
+            config=StairConfig(seed=11, tau=0.9, quad_points=2),
+        )
+        assert res.stages[0].schedule.m_j % 3 == 0
+        assert res.base_seminorm_qq == pytest.approx(1.0, rel=1e-12)
+        assert res.I_trace[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_run_construction_routes_through_engine(self, monkeypatch):
         calls = _count_engine_calls(monkeypatch)
