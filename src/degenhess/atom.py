@@ -560,6 +560,12 @@ def _probe_grid(atom):
     return np.vstack([X, Xs])
 
 
+def _negligible(base_ck, base_op, k):
+    """True when C_k of a frozen matrix is zero to rounding: the rank is
+    already below k and there is nothing to contract."""
+    return base_ck <= 1e-14 * max(1.0, base_op) ** k
+
+
 def build_atom(A, Q, eps0, k, p, params=None):
     """Construct the cancel-compensate atom for frozen matrix A on cube Q.
 
@@ -583,7 +589,7 @@ def build_atom(A, Q, eps0, k, p, params=None):
     A = 0.5 * (A + A.T)
     base_ck = float(ck(A, k))
     base_op = float(op_norm(A))
-    if base_ck <= 1e-14 * max(1.0, base_op) ** k:
+    if _negligible(base_ck, base_op, k):
         return zero_atom(Q, eps0)
 
     spec = sym_eigen(A)
@@ -696,14 +702,9 @@ class AtomCertificate:
 
     @property
     def passed(self):
-        return (
-            self.pass_support
-            and self.pass_c1
-            and self.pass_hessian_cap
-            and self.pass_compat
-            and self.pass_contraction
-            and self.pass_drift
-        )
+        """Every pass_ field holds."""
+        return all(getattr(self, f.name) for f in dataclass_fields(self)
+                   if f.name.startswith("pass_"))
 
     @property
     def min_axis_nodes(self):
@@ -813,29 +814,60 @@ def _region_sum(atom, axes, scale, integrand, chunk):
     return acc_mass, acc_pow
 
 
-def _aligned_totals(atom, integrand, level, points, chunk):
-    """Exact domain decomposition for axis-aligned atoms.
+# Gauss points per panel axis, and integrand points per evaluation block,
+# of the certificate integrals. Each block adds one partial dot product
+# to a region's sums, so another block size moves the trailing digits of
+# the integrals and of tau_err.
+_QUAD_POINTS = 4
+_QUAD_CHUNK = 1 << 19
 
-    Away from every cutoff collar the integrand does not depend on the
-    collar coordinates (the cutoff is identically one there), so the
-    cube splits into regions indexed by the subset of collar axes that
-    sit inside their collars; each region integrates over the
-    oscillation axis and those collar coordinates only, interior axes
-    contributing their lengths as a constant factor.
+
+def rotated_panels(atom, axis):
+    """Uniform panels along one axis of a rotated atom's cube: about
+    seven per projected period, at least 32."""
+    e = atom.direction
+    E = atom.cube.edges[axis]
+    return max(32, int(math.ceil(7.0 * atom.periods * abs(e[axis]) * E
+                                 / atom.train_extent)) + 1)
+
+
+def _regions(atom, level):
+    """The tensor-product regions that tile the atom's cube, as a list of
+    (axes, scale) pairs for _region_sum.
+
+    An aligned atom's integrand does not depend on a collar coordinate
+    away from that axis's collars (the cutoff is identically one there),
+    so the cube splits exactly into one region per subset S of the collar
+    axes, those inside their collars: it integrates over the oscillation
+    axis and the axes in S, and each other axis is one centre node of
+    weight one whose interior length goes into scale. A rotated atom
+    gets one uniform region of rotated_panels per axis, halved on its
+    widest axis while the refined grid exceeds a fixed evaluation budget.
     """
     n = atom.cube.n
     lo = np.array(atom.cube.lo)
     edges = np.array(atom.cube.edges)
     center = lo + edges / 2.0
     a0 = atom.aligned_axis
+    if a0 is None:
+        panels = [rotated_panels(atom, a) for a in range(n)]
+        while np.prod([m * 2 ** level * _QUAD_POINTS for m in panels]) > 8e7:
+            worst = int(np.argmax(panels))
+            if panels[worst] <= 32:
+                break
+            panels[worst] = max(32, panels[worst] // 2)
+        axes = []
+        for a in range(n):
+            base = np.linspace(lo[a], lo[a] + edges[a], panels[a] + 1)
+            nodes, weights = _panel_nodes(_split_edges(base, 2 ** level),
+                                          _QUAD_POINTS)
+            axes.append((a, nodes, weights))
+        return [(axes, 1.0)]
     gc = atom.gamma_c
-    t_nodes, t_weights = _panel_nodes(_train_edges(atom, level), points)
+    t_nodes, t_weights = _panel_nodes(_train_edges(atom, level), _QUAD_POINTS)
     x_e = center[a0] + t_nodes
-    collar = [a for a in range(n) if a != a0]
-    interior_len = {a: (1.0 - 2.0 * gc) * edges[a] for a in collar}
-    mass = 0.0
-    power = 0.0
-    axis_nodes = {a0: len(x_e)}
+    collar = atom._collar_axes()
+    regions = []
     for r in range(0, len(collar) + 1):
         for S in combinations(collar, r):
             ramp = 12 if r <= 1 else 3
@@ -843,55 +875,15 @@ def _aligned_totals(atom, integrand, level, points, chunk):
             scale = 1.0
             for a in collar:
                 if a not in S:
-                    scale *= interior_len[a]
+                    scale *= (1.0 - 2.0 * gc) * edges[a]
             axes = [(a0, x_e, t_weights)]
             for a in S:
-                vn, vw = _collar_nodes(gc, ramp, zero, level, points)
+                vn, vw = _collar_nodes(gc, ramp, zero, level, _QUAD_POINTS)
                 axes.append((a, lo[a] + edges[a] * vn, edges[a] * vw))
-                axis_nodes[a] = max(axis_nodes.get(a, 0), len(vn))
-            # interior axes: one node at the centre, of weight one
             axes += [(a, center[a:a + 1], np.ones(1))
                      for a in collar if a not in S]
-            m, pw = _region_sum(atom, axes, scale, integrand, chunk)
-            mass += m
-            power += pw
-    resolution = tuple(axis_nodes[a] for a in range(n))
-    return mass, power, resolution
-
-
-def _tensor_totals(atom, integrand, level, points, chunk):
-    n = atom.cube.n
-    lo = np.array(atom.cube.lo)
-    edges = np.array(atom.cube.edges)
-    e = atom.direction
-    T = atom.train_extent
-    panels = [
-        max(32, int(math.ceil(7.0 * atom.periods * abs(e[a]) * edges[a] / T)) + 1)
-        for a in range(n)
-    ]
-    # keep the refined grid under a fixed evaluation budget
-    while np.prod([m * 2 ** level * points for m in panels]) > 8e7:
-        worst = int(np.argmax(panels))
-        if panels[worst] <= 32:
-            break
-        panels[worst] = max(32, panels[worst] // 2)
-    axes = []
-    resolution = []
-    for a in range(n):
-        base = np.linspace(lo[a], lo[a] + edges[a], panels[a] + 1)
-        nodes, weights = _panel_nodes(_split_edges(base, 2 ** level), points)
-        axes.append((a, nodes, weights))
-        resolution.append(len(nodes))
-    m, pw = _region_sum(atom, axes, 1.0, integrand, chunk)
-    return m, pw, tuple(resolution)
-
-
-# Gauss points per panel axis, and integrand points per evaluation block,
-# of the certificate integrals. Each block adds one partial dot product
-# to a region's sums, so another block size moves the trailing digits of
-# the integrals and of tau_err.
-_QUAD_POINTS = 4
-_QUAD_CHUNK = 1 << 19
+            regions.append((axes, scale))
+    return regions
 
 
 def _atom_integrals(atom, A, k, p):
@@ -905,12 +897,21 @@ def _atom_integrals(atom, A, k, p):
         return vals, vals ** expo
 
     totals = []
-    resolution = None
-    runner = _aligned_totals if atom.aligned_axis is not None else _tensor_totals
     for level in (0, 1):
-        m, pw, res = runner(atom, integrand, level, _QUAD_POINTS, _QUAD_CHUNK)
-        totals.append((m, pw))
-        resolution = res
+        regions = _regions(atom, level)
+        mass = 0.0
+        power = 0.0
+        for axes, scale in regions:
+            m, pw = _region_sum(atom, axes, scale, integrand, _QUAD_CHUNK)
+            mass += m
+            power += pw
+        totals.append((mass, power))
+    # stations per axis at level 1: the most any region puts on it
+    resolution = tuple(
+        max(len(nodes) for axes, _s in regions for a, nodes, _w in axes
+            if a == c)
+        for c in range(atom.cube.n)
+    )
     mass, power = totals[1]
     mass_err = abs(totals[1][0] - totals[0][0])
     power_err = abs(totals[1][1] - totals[0][1])
@@ -943,7 +944,7 @@ def certify_atom(atom, A, k, p, tau_bound=1.0):
         raise ValueError(f"need 1 <= p < k <= n, got p={p}, k={k}, n={n}")
     base_ck = float(ck(A, k))
     base_op = float(op_norm(A))
-    negligible = base_ck <= 1e-14 * max(1.0, base_op) ** k
+    negligible = _negligible(base_ck, base_op, k)
     vol = cube.volume
     lo = np.array(cube.lo)
     edges = np.array(cube.edges)

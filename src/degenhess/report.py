@@ -69,18 +69,8 @@ def soft_failures(result):
     for rec in result.stages:
         c = rec.certificate
         if not c.passed:
-            parts = []
-            if not c.pass_c0:
-                parts.append("c0")
-            if not c.pass_c2:
-                parts.append("c2")
-            if not c.pass_c3:
-                parts.append("c3")
-            if not c.pass_c4:
-                parts.append("c4")
-            if not c.atoms_pass:
-                parts.append("atoms")
-            out.append(f"stage {c.j}: certificate failed ({' '.join(parts)})")
+            failed = " ".join(name for name, ok in c.checks.items() if not ok)
+            out.append(f"stage {c.j}: certificate failed ({failed})")
     if not result.grad2_budget_pass:
         out.append("second-derivative budget exceeded")
     if not result.c1a_pass:
@@ -165,9 +155,8 @@ def run_report_text(result, config=None):
             f"cells, {qc.points} integrand points ({qc.full_points} "
             f"full-grid), {qc.thinned} cells thinned",
             "checks: "
-            f"c0 {_pf(c.pass_c0)}, c2 {_pf(c.pass_c2)}, "
-            f"c3 {_pf(c.pass_c3)}, c4 {_pf(c.pass_c4)}, "
-            f"atoms {_pf(c.atoms_pass)} -> stage {_pf(c.passed)}",
+            + ", ".join(f"{name} {_pf(ok)}" for name, ok in c.checks.items())
+            + f" -> stage {_pf(c.passed)}",
         ]
         for note in c.notes:
             L.append(f"note: {note}")

@@ -26,6 +26,7 @@ from degenhess.atom import (
     certify_atom,
     predicted_contraction,
     profile_breakpoints,
+    rotated_panels,
     tune_atom,
     zero_atom,
 )
@@ -83,6 +84,10 @@ class StairConfig:
     def __post_init__(self):
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0,1)")
+        if self.quad_points < 2:
+            raise ValueError("quad_points must be at least 2")
+        if self.node_budget < 1:
+            raise ValueError("node_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -179,15 +184,19 @@ class StageCertificate:
     notes: tuple = ()
     quadrature: QuadratureCounts = QuadratureCounts()
 
+    # the named checks and the fields that hold them, in report order
+    CHECK_FIELDS = (("c0", "pass_c0"), ("c2", "pass_c2"), ("c3", "pass_c3"),
+                    ("c4", "pass_c4"), ("atoms", "atoms_pass"))
+
+    @property
+    def checks(self):
+        """The named pass flags, {name: flag} in report order; the stage
+        passes when every one holds."""
+        return {name: getattr(self, f) for name, f in self.CHECK_FIELDS}
+
     @property
     def passed(self):
-        return (
-            self.pass_c0
-            and self.pass_c2
-            and self.pass_c3
-            and self.pass_c4
-            and self.atoms_pass
-        )
+        return all(self.checks.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,9 +594,11 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
     on the field's sampled modulus, m_j from the partition refinement
     rule. If the full diameter condition exceeds the cube cap the
     governor retries with beta_j alone (diameter_waived); if that also
-    exceeds the cap the stage stalls, so the cap never ends a run. eps_j
-    is the stage's share of the closeness budget eps, which keeps the
-    final field within eps of the base in the C1-alpha scale.
+    exceeds the cap the stage stalls, so the cap never ends a run. A
+    partition finer than the K_j sample re-samples K_j at its resolution;
+    while that raises K_j, eps_j, delta_j, beta_j and m_j are decided
+    again. eps_j is the stage's share of the closeness budget eps, which
+    keeps the final field within eps of the base in the C1-alpha scale.
     """
     config = config or StairConfig()
     if not 0.0 < tau < 1.0:
@@ -623,33 +634,33 @@ def plan_stage(f_prev, j, tau, alpha, eps, config=None, *, k, q, m_prev=1):
     edge_norm = float(np.linalg.norm(np.array(box.edges)))
     scale = math.sqrt(n) / edge_norm
 
-    def decide_m(eps_eff, beta_eff):
-        return refine_partition(m_prev, j, eps_eff, beta_eff, n, cap=_CUBE_CAP)
+    def govern(eps_v, beta_v):
+        """(m_j, waived, stalled): the full rule, else beta_j alone,
+        else a stall on the previous partition."""
+        for waived, eps_eff in ((False, eps_v), (True, math.inf)):
+            try:
+                m = refine_partition(m_prev, j, eps_eff * scale, beta_v * scale,
+                                     n, cap=_CUBE_CAP)
+            except PartitionCapError:
+                continue
+            if waived:
+                m = m_prev * math.ceil(max(m, 4) / m_prev)
+            if m <= _CUBE_CAP:
+                return m, waived, False
+        return m_prev, False, True
 
-    waived = False
-    stalled = False
-    try:
-        m_j = decide_m(eps_j * scale, beta_j * scale)
-    except PartitionCapError:
-        try:
-            m_beta = decide_m(math.inf, beta_j * scale)
-            m_j = m_prev * math.ceil(max(m_beta, 4) / m_prev)
-            if m_j > _CUBE_CAP:
-                raise PartitionCapError(m_j, _CUBE_CAP)
-            waived = True
-        except PartitionCapError:
-            m_j = m_prev
-            stalled = True
-
-    if not stalled and 4 * m_j > res_used:
+    m_j, waived, stalled = govern(eps_j, beta_j)
+    while not stalled and 4 * m_j > res_used:
         K2, extra, res_used, _ = _sample_matrix_sup(
             f_prev, 4 * m_j, (config.seed, j)
         )
         sup_samples += extra
-        if K2 > K * (1.0 + 1e-12):
-            K = K2
-            eps_j = eps_of(K)
-            delta_j, beta_j, beta_pairs, beta_probed = plan_of(K)
+        if not K2 > K * (1.0 + 1e-12):
+            break
+        K = K2
+        eps_j = eps_of(K)
+        delta_j, beta_j, beta_pairs, beta_probed = plan_of(K)
+        m_j, waived, stalled = govern(eps_j, beta_j)
 
     holder_ok = True
     if K > 0.0:
@@ -722,9 +733,7 @@ def _axis_edges_for_cell(cell, atoms, axis):
                 u = np.concatenate([u, 1.0 - u[::-1]])
                 phys = Clo + u * E
         else:
-            e = atom.direction
-            T = atom.train_extent
-            cnt = max(32, int(math.ceil(7 * atom.periods * abs(e[axis]) * E / T)) + 1)
+            cnt = rotated_panels(atom, axis)
             min_uniform = max(min_uniform, int(math.ceil(cnt * w / E)))
             gc = atom.gamma_c
             u = np.array([gc / 2, gc, 1.0 - gc, 1.0 - gc / 2])

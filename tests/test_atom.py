@@ -398,6 +398,17 @@ class TestCertify:
         assert cert.sup_hessian <= cert.amp_cap
         assert cert.mass_base == pytest.approx(1.0)
 
+    def test_passed_reads_every_pass_field(self):
+        A = np.eye(2)
+        cert = certify_atom(build_atom(A, Box.unit(2), 0.1, 2, 1.0), A, 2, 1.0)
+        flags = [f.name for f in dataclasses.fields(cert)
+                 if f.name.startswith("pass_")]
+        assert cert.passed and len(flags) == 6
+        for name in flags:
+            flipped = dataclasses.replace(cert, **{name: False})
+            assert not flipped.passed, name
+            assert flipped.csv_row()[CERTIFICATE_COLUMNS.index(name)] == "0"
+
     def test_certificate_row_roundtrip(self):
         Q = Box.unit(2)
         atom = build_atom(np.diag([1.0, 2.0]), Q, 0.1, 2, 1.5)
@@ -487,27 +498,7 @@ class TestCertify:
 
 
 class TestSuiteRows:
-    # a cross-section of the published suite; the acceptance checks run
-    # all twenty rows
-    @pytest.mark.parametrize(
-        "name", ["unit2-k2-p1", "diag12-k2-p15", "indef2-k2-p15", "tilt2-k2-p1"]
-    )
-    def test_two_dim_rows(self, name):
-        case = next(c for c in CERTIFICATION_SUITE if c.name == name)
-        A = case.as_array()
-        out = tune_atom(
-            A, Box.unit(A.shape[0]), case.eps0, case.k, case.p, case.tau_bound
-        )
-        assert out.certificate.passed
-        assert out.certificate.tau_meas + out.certificate.tau_err < case.tau_bound
-
-    def test_one_three_dim_row(self):
-        case = next(c for c in CERTIFICATION_SUITE if c.name == "thin3-k2-p1")
-        A = case.as_array()
-        out = tune_atom(A, Box.unit(3), case.eps0, case.k, case.p, case.tau_bound)
-        assert out.certificate.passed
-        assert min(out.certificate.resolution) >= 128
-
+    # A3 tunes and checks all twenty rows
     def test_suite_is_published_and_fixed(self):
         assert len(CERTIFICATION_SUITE) == 20
         dims = {c.as_array().shape[0] for c in CERTIFICATION_SUITE}

@@ -22,10 +22,11 @@ from degenhess.measures import (
     test_function_family as probe_family,
     weakstar_gap,
 )
-from degenhess.report import run_report_text
+from degenhess.report import run_report_text, soft_failures
 from degenhess.staircase import (
     LinearMapBase,
     ScheduleError,
+    StageCertificate,
     StagePerturbation,
     StageSchedule,
     StairConfig,
@@ -104,6 +105,13 @@ class TestScheduleBasics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StairConfig(tau=1.0)
+        for bad in (1, 0, -2):
+            with pytest.raises(ValueError, match="quad_points"):
+                StairConfig(quad_points=bad)
+        for bad in (0, -5, 0.5):
+            with pytest.raises(ValueError, match="node_budget"):
+                StairConfig(node_budget=bad)
+        StairConfig(quad_points=2, node_budget=1)
 
     def test_default_tau(self):
         assert default_tau(2, 1.0) == 0.9
@@ -119,6 +127,33 @@ class TestGovernor:
         assert not sch.stalled
         # the full rule would need thousands of cells per axis here
         assert math.sqrt(2) / 4 > sch.eps_j / 2
+
+    def test_raised_sup_redecides_the_partition(self, monkeypatch):
+        # the sample at the finer partition's resolution reads K_j ten
+        # times higher; the lowered beta_j must re-decide m_j
+        f = ScalarFieldC2(
+            make_base("trig", {"freqs": [[1.0, 0.0], [0.0, 1.0]],
+                               "amps": [0.3, 0.3]}, 2),
+            UNIT_BOX,
+        )
+        real = staircase._sample_matrix_sup
+        calls = []
+
+        def raised(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(out[0])
+            if len(calls) == 2:
+                out = (10.0 * out[0],) + out[1:]
+            return out
+
+        monkeypatch.setattr(staircase, "_sample_matrix_sup", raised)
+        sch = plan_stage(f, 1, 0.9, 0.3, 0.1, StairConfig(seed=42, tau=0.9),
+                         k=2, q=1.5)
+        assert len(calls) >= 3
+        assert sch.K_j == 10.0 * calls[1]
+        # on the unit box beta_j needs no scaling to compare with a cell
+        # diameter
+        assert sch.stalled or math.sqrt(2) / sch.m_j < sch.beta_j
 
     def test_stall_after_commitment(self, quadratic_run):
         for rec in quadratic_run.stages[1:]:
@@ -430,6 +465,27 @@ def small_quadratic_run():
         w, 2, 1.5, 0.3, 0.3, 1,
         config=StairConfig(seed=11, tau=0.9, quad_points=2),
     )
+
+
+class TestCertificateChecks:
+    def test_each_check_drives_the_verdict(self, small_quadratic_run):
+        rec = small_quadratic_run.stages[0]
+        cert = rec.certificate
+        assert list(cert.checks) == ["c0", "c2", "c3", "c4", "atoms"]
+        assert cert.passed and not soft_failures(small_quadratic_run)
+        for name, field in StageCertificate.CHECK_FIELDS:
+            flipped = replace(cert, **{field: False})
+            result = replace(small_quadratic_run,
+                             stages=(replace(rec, certificate=flipped),))
+            assert not flipped.passed
+            assert [n for n, ok in flipped.checks.items() if not ok] == [name]
+            line = "checks: " + ", ".join(
+                f"{n} {'FAIL' if n == name else 'PASS'}"
+                for n, _ in StageCertificate.CHECK_FIELDS
+            ) + " -> stage FAIL"
+            assert line in run_report_text(result).splitlines()
+            assert (f"stage 1: certificate failed ({name})"
+                    in soft_failures(result))
 
 
 class TestClassQuadrature:

@@ -21,7 +21,14 @@ The outputs:
 - measures-readback/<op>: the outputs of the measures-readback benchmark
   ops, called through perfbench.workloads; measures-readback/ck_mass-cubes
   and measures-readback/sobolev_seminorm/<norm>: on the same run, every
-  cube's mass and error bar at the default level, and both seminorms.
+  cube's mass and error bar at the default level, and both seminorms;
+- atom/<input>/certificate/<field>, atom/<input>/history and
+  atom/<input>/atom/<field>: every AtomCertificate field, the tuning
+  history and every field of the tuned atom, for the 16 atom-suite pool
+  matrices (tuned as the atom-suite op tunes them; inputs aligned-<i> and
+  rotated-<i>) and the 20 CERTIFICATION_SUITE rows (tuned as A3 tunes
+  them; inputs named after the row). The ten 3-D rows take most of the
+  time these add.
 
 Floats are hashed by float.hex, arrays by dtype, shape and bytes.
 """
@@ -43,7 +50,7 @@ sys.dont_write_bytecode = True
 
 import numpy as np  # noqa: E402
 
-from degenhess import cli, measures, report  # noqa: E402
+from degenhess import atom, cli, measures, report  # noqa: E402
 from degenhess.fields import Box, ScalarFieldC2, make_base  # noqa: E402
 from degenhess.staircase import (  # noqa: E402
     LinearMapBase,
@@ -199,8 +206,38 @@ def measures_readback():
                                        config=config))
 
 
+def tuned_atom(label, A, eps0, k, p, tau_bound):
+    n = A.shape[0]
+    try:
+        out = atom.tune_atom(A, Box.unit(n), eps0, k, p, tau_bound)
+        tuned, cert, history = out.atom, out.certificate, out.history
+    except atom.AtomTuningError as err:
+        tuned, cert, history = err.atom, err.certificate, err.history
+    for f in dataclasses.fields(cert):
+        emit(f"atom/{label}/certificate/{f.name}", getattr(cert, f.name))
+    emit(f"atom/{label}/history", history)
+    for f in dataclasses.fields(tuned):
+        emit(f"atom/{label}/atom/{f.name}", getattr(tuned, f.name))
+
+
+def atom_certificates():
+    pool = wl.pools()
+    bound = atom.certification_bound(2, wl.ATOM_P)
+    for i, diag in enumerate(pool["aligned"]):
+        tuned_atom(f"aligned-{i}", np.diag(diag), wl.ATOM_EPS0, 2, wl.ATOM_P,
+                   bound)
+    for i, (diag, theta) in enumerate(pool["rotated"]):
+        R = wl._rotation(theta)
+        tuned_atom(f"rotated-{i}", R @ np.diag(diag) @ R.T, wl.ATOM_EPS0, 2,
+                   wl.ATOM_P, bound)
+    for case in atom.CERTIFICATION_SUITE:
+        tuned_atom(case.name, case.as_array(), case.eps0, case.k, case.p,
+                   case.tau_bound)
+
+
 if __name__ == "__main__":
     a11_render()
     cli_outputs()
     fixtures()
     measures_readback()
+    atom_certificates()
